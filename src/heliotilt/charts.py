@@ -16,6 +16,7 @@ import numpy as np
 from .geometry import (
     Location,
     _check_day,
+    _check_step,
     _elevation_azimuth,
     compass_azimuth,
     declination_exact,
@@ -26,6 +27,7 @@ from .schedule import (
     TiltMode,
     daily_tilt_details,
     monthly_schedule,
+    round_half_up,
     seasonal_schedule,
     tilt_extremes,
 )
@@ -94,8 +96,7 @@ def sunpath_chart(
     days = tuple(_check_day(d) for d in days)
     if not days:
         raise ValueError("at least one day is required for a sun-path chart")
-    if step_minutes <= 0.0:
-        raise ValueError(f"step must be positive minutes, got {step_minutes}")
+    _check_step(step_minutes)
     out: list[ChartSeries] = []
     half = int(math.floor(12.0 * 60.0 / step_minutes))
     offsets = np.arange(-half, half + 1) * (step_minutes / 60.0)
@@ -224,7 +225,7 @@ def schedule_csv(table: ScheduleTable) -> str:
     lines = [f"{label},tilt_deg"]
     whole = table.granularity == "seasonal" and table.mode is TiltMode.PAPER
     for name, value in table.rows:
-        shown = str(int(math.floor(value + 0.5))) if whole else fmt_angle(value)
+        shown = str(round_half_up(value)) if whole else fmt_angle(value)
         lines.append(f"{name},{shown}")
     return "\n".join(lines) + "\n"
 
@@ -250,7 +251,7 @@ def sun_csv(rows: list[tuple[float, float, float, float]]) -> str:
 
 def render_json(payload: dict) -> str:
     """Stable two-space-indented JSON with a trailing newline."""
-    return json.dumps(payload, indent=2) + "\n"
+    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
 
 
 _PALETTE = (

@@ -34,6 +34,7 @@ from .schedule import (
     UnsupportedHemisphereError,
     daily_tilt_details,
     monthly_schedule,
+    round_half_up,
 )
 
 
@@ -127,8 +128,7 @@ def _cmd_schedule(args: argparse.Namespace) -> str:
         ],
     }
     if table.granularity == "seasonal":
-        # values are clamped to [0, 90], so int() is floor here
-        payload["rounded_deg"] = [int(value + 0.5) for _, value in table.rows]
+        payload["rounded_deg"] = [round_half_up(value) for _, value in table.rows]
     payload["metadata"] = _clean_metadata(table.metadata)
     return render_json(payload)
 
@@ -261,7 +261,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sun = add_command("sun", "sun positions through one day", _cmd_sun)
     sun.add_argument("--day", type=int, required=True, help="day of year, 1 to 365")
     sun.add_argument(
-        "--step", type=float, default=1.0, help="sample step in minutes (default 1)"
+        "--step", type=float, default=1.0, help="sample step, 0.1 to 120 minutes (default 1)"
     )
     sun.add_argument("--format", choices=("json", "csv"), default="json")
 
@@ -287,7 +287,7 @@ def _build_parser() -> argparse.ArgumentParser:
     optimize.add_argument("--start-day", type=int, default=1, help="first day (default 1)")
     optimize.add_argument("--end-day", type=int, default=365, help="last day (default 365)")
     optimize.add_argument(
-        "--step", type=float, default=1.0, help="integration step in minutes (default 1)"
+        "--step", type=float, default=1.0, help="integration step, 0.1 to 120 minutes (default 1)"
     )
     optimize.add_argument("--format", choices=("json", "csv"), default="json")
 
@@ -296,7 +296,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     gains.add_argument("--mode", choices=("paper", "exact"), default="paper")
     gains.add_argument(
-        "--step", type=float, default=1.0, help="integration step in minutes (default 1)"
+        "--step", type=float, default=1.0, help="integration step, 0.1 to 120 minutes (default 1)"
     )
     gains.add_argument("--format", choices=("json", "csv"), default="json")
 
@@ -309,7 +309,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="days of year for the sun path (default: the 21st of each month)",
     )
     chart.add_argument(
-        "--step", type=float, default=1.0, help="sample step in minutes (default 1)"
+        "--step", type=float, default=1.0, help="sample step, 0.1 to 120 minutes (default 1)"
     )
     chart.add_argument(
         "--azimuth", action="store_true", help="add compass-azimuth series"

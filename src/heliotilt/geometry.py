@@ -61,6 +61,12 @@ def _check_day(day: int) -> int:
     return d
 
 
+def _check_step(step_minutes: float) -> None:
+    # the lower bound caps a year grid at about 5.3M samples
+    if not 0.1 <= step_minutes <= 120.0:
+        raise ValueError(f"time step must be finite minutes in [0.1, 120], got {step_minutes}")
+
+
 def declination_exact(day: int) -> float:
     """Solar declination on a given day of the year.
 

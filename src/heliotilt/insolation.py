@@ -7,8 +7,9 @@ plane-of-array component multiplies by the incidence cosine floored at
 zero. Beam only: no diffuse or ground-reflected terms, which keeps the
 comparison between tilt policies purely geometric.
 
-Daily energy integrates the plane-of-array power over the hour angle
-from sunrise to sunset with the trapezoid rule; results are Wh per m^2.
+Energy is the trapezoid rule over the hour angle from sunrise to sunset,
+in Wh per m^2, and every figure is one weighted sum: _sample_days samples
+a day range once, _energy adds DNI * trapezoid weight * max(0, cosine).
 """
 from __future__ import annotations
 
@@ -21,12 +22,13 @@ import numpy as np
 from .geometry import (
     Location,
     _check_day,
+    _check_step,
     _elevation_azimuth,
     declination_exact,
     sun_position,
     sunrise_hour_angle,
 )
-from .schedule import TiltMode, TiltPolicy, monthly_schedule, seasonal_schedule
+from .schedule import TiltMode, TiltPolicy, _check_tilt, monthly_schedule, seasonal_schedule
 
 TRANSMITTANCE = 0.7
 AIR_MASS_EXPONENT = 0.678
@@ -49,8 +51,7 @@ class IrradianceModel:
     def __post_init__(self) -> None:
         if self.solar_constant_w_m2 <= 0.0:
             raise ValueError("solar constant must be positive")
-        if self.time_step_minutes <= 0.0:
-            raise ValueError("time step must be positive minutes")
+        _check_step(self.time_step_minutes)
 
     def direct_normal(self, elevation_deg):
         """Direct-normal irradiance in W/m^2 for a sun elevation.
@@ -126,49 +127,52 @@ def incidence_cosine(
     return math.cos(elev) * math.cos(az) * math.sin(tilt) + math.sin(elev) * math.cos(tilt)
 
 
-class _DayProfile(NamedTuple):
-    """Precomputed per-day arrays over the daylight hour-angle grid."""
+class _Grid(NamedTuple):
+    """Flat hour-angle samples of a day range, day after day."""
 
-    hours: np.ndarray       # solar time offsets from noon, h
-    horiz: np.ndarray       # cos(elev) * cos(az), the sin(tilt) coefficient
-    vert: np.ndarray        # sin(elev), the cos(tilt) coefficient
-    dni_w_m2: np.ndarray
+    horiz: np.ndarray   # cos(elev) * cos(az), the sin(tilt) coefficient
+    vert: np.ndarray    # sin(elev), the cos(tilt) coefficient
+    weight: np.ndarray  # DNI times the trapezoid weight in hours
+    counts: np.ndarray  # samples of each day, 0 on polar-night days
 
 
-def _day_profile(latitude_deg: float, day: int, model: IrradianceModel) -> _DayProfile:
-    loc = Location(latitude_deg)
-    omega_s = sunrise_hour_angle(loc, day)
-    if omega_s <= 0.0:
-        empty = np.zeros(0)
-        return _DayProfile(empty, empty, empty, empty)
+def _sample_days(loc: Location, period: tuple[int, int], model: IrradianceModel | None) -> _Grid:
+    """Each day of a period from sunrise to sunset at the model step.
+
+    Filled day by day into preallocated rows: joining whole days would
+    hold the range twice.
+    """
+    model = model or IrradianceModel()
+    days = range(period[0], period[1] + 1)
+    spans = [sunrise_hour_angle(loc, day) for day in days]
     step_deg = model.time_step_minutes / 4.0  # 15 deg of hour angle per hour
-    n = max(1, math.ceil(2.0 * omega_s / step_deg))
-    omega = np.linspace(-omega_s, omega_s, n + 1)
-    elev, az = _elevation_azimuth(latitude_deg, declination_exact(day), omega)
-    elev_rad = np.radians(elev)
-    az_rad = np.radians(az)
-    return _DayProfile(
-        hours=omega / 15.0,
-        horiz=np.cos(elev_rad) * np.cos(az_rad),
-        vert=np.sin(elev_rad),
-        dni_w_m2=model.direct_normal(elev),
-    )
+    counts = [math.ceil(2.0 * s / step_deg) + 1 if s > 0.0 else 0 for s in spans]
+    samples = np.empty((3, sum(counts)))
+    i = 0
+    for day, omega_s, n in zip(days, spans, counts):
+        omega = np.linspace(-omega_s, omega_s, n)
+        elev, az = _elevation_azimuth(loc.latitude_deg, declination_exact(day), omega)
+        elev_rad = np.radians(elev)
+        hours = np.zeros(n)
+        hours[:-1] = half = np.diff(omega / 15.0) / 2.0
+        hours[1:] += half
+        samples[0, i:i + n] = np.cos(elev_rad) * np.cos(np.radians(az))
+        samples[1, i:i + n] = np.sin(elev_rad)
+        samples[2, i:i + n] = model.direct_normal(elev) * hours
+        i += n
+    return _Grid(*samples, np.array(counts))
 
 
-def _profile_energies(profile: _DayProfile, tilts_deg: np.ndarray) -> np.ndarray:
-    """Wh/m^2 for each tilt in tilts_deg, given one day's profile."""
-    if profile.hours.size < 2:
-        return np.zeros(len(tilts_deg))
-    tilt = np.radians(np.asarray(tilts_deg, dtype=float))
-    cos_theta = np.outer(np.sin(tilt), profile.horiz) + np.outer(np.cos(tilt), profile.vert)
-    poa = profile.dni_w_m2 * np.clip(cos_theta, 0.0, None)
-    return np.trapezoid(poa, profile.hours, axis=1)
+def _energy(grid: _Grid, tilt_deg) -> float:
+    """Wh/m^2: weight @ max(0, sin(tilt) horiz + cos(tilt) vert), one tilt or one per sample."""
+    tilt = np.radians(tilt_deg)
+    cos_theta = np.sin(tilt) * grid.horiz
+    cos_theta += np.cos(tilt) * grid.vert
+    return float(grid.weight @ np.maximum(cos_theta, 0.0, out=cos_theta))
 
 
-def _check_tilt(tilt_deg: float) -> float:
-    if not 0.0 <= tilt_deg <= 90.0:
-        raise ValueError(f"panel tilt must be in [0, 90] degrees, got {tilt_deg}")
-    return float(tilt_deg)
+def _policy_energy(grid: _Grid, policy: TiltPolicy) -> float:
+    return _energy(grid, np.repeat(policy.tilts_deg, grid.counts))
 
 
 def daily_insolation(
@@ -184,10 +188,8 @@ def daily_insolation(
     """
     d = _check_day(day)
     tilt = _check_tilt(tilt_deg)
-    model = model or IrradianceModel()
-    profile = _day_profile(loc.latitude_deg, d, model)
-    energy = _profile_energies(profile, np.array([tilt]))[0]
-    return InsolationResult(float(energy), (d, d), f"fixed({tilt:.2f})")
+    grid = _sample_days(loc, (d, d), model)
+    return InsolationResult(_energy(grid, tilt), (d, d), f"fixed({tilt:.2f})")
 
 
 def annual_insolation(
@@ -196,13 +198,8 @@ def annual_insolation(
     model: IrradianceModel | None = None,
 ) -> InsolationResult:
     """Energy over the full 365-day year under a tilt policy."""
-    model = model or IrradianceModel()
-    total = 0.0
-    for day in range(1, 366):
-        profile = _day_profile(loc.latitude_deg, day, model)
-        tilt = _check_tilt(policy.tilt_for_day(day))
-        total += float(_profile_energies(profile, np.array([tilt]))[0])
-    return InsolationResult(total, FULL_YEAR, policy.label)
+    grid = _sample_days(loc, FULL_YEAR, model)
+    return InsolationResult(_policy_energy(grid, policy), FULL_YEAR, policy.label)
 
 
 def _check_period(period: tuple[int, int]) -> tuple[int, int]:
@@ -210,8 +207,7 @@ def _check_period(period: tuple[int, int]) -> tuple[int, int]:
         start, end = period
     except (TypeError, ValueError):
         raise ValueError(f"period must be a (start_day, end_day) pair, got {period!r}") from None
-    start = _check_day(start)
-    end = _check_day(end)
+    start, end = _check_day(start), _check_day(end)
     if start > end:
         raise ValueError(f"period must be non-empty, got {period!r}")
     return start, end
@@ -228,27 +224,18 @@ def optimize_fixed_tilt(
     window around the coarse winner. Ties break toward the lower tilt.
     The panel is assumed south-facing, whatever the latitude.
     """
-    start, end = _check_period(period)
-    model = model or IrradianceModel()
-    profiles = [
-        _day_profile(loc.latitude_deg, day, model) for day in range(start, end + 1)
-    ]
+    grid = _sample_days(loc, _check_period(period), model)
 
-    def sweep(tilts: np.ndarray) -> np.ndarray:
-        total = np.zeros(len(tilts))
-        for profile in profiles:
-            total += _profile_energies(profile, tilts)
-        return total
+    def best(tilts: np.ndarray) -> OptimalTilt:
+        energies = [_energy(grid, t) for t in tilts]
+        i = int(np.argmax(energies))
+        return OptimalTilt(float(tilts[i]), energies[i])
 
     coarse = np.linspace(0.0, 90.0, int(round(90.0 / COARSE_STEP_DEG)) + 1)
-    best = float(coarse[int(np.argmax(sweep(coarse)))])
-    lo = max(0.0, best - COARSE_STEP_DEG)
-    hi = min(90.0, best + COARSE_STEP_DEG)
+    top = best(coarse).tilt_deg
+    lo, hi = max(0.0, top - COARSE_STEP_DEG), min(90.0, top + COARSE_STEP_DEG)
     steps = int(round((hi - lo) / FINE_STEP_DEG))
-    fine = lo + FINE_STEP_DEG * np.arange(steps + 1)
-    energies = sweep(fine)
-    i = int(np.argmax(energies))
-    return OptimalTilt(float(fine[i]), float(energies[i]))
+    return best(lo + FINE_STEP_DEG * np.arange(steps + 1))
 
 
 def gain_report(
@@ -265,22 +252,14 @@ def gain_report(
     small extra gains over it are expected as well).
     """
     mode = TiltMode(mode)
-    model = model or IrradianceModel()
     policies = (
         TiltPolicy.seasonal(seasonal_schedule(loc, mode)),
         TiltPolicy.monthly(monthly_schedule(loc, mode)),
         TiltPolicy.daily(loc),
+        TiltPolicy.fixed(loc.latitude_deg),
     )
-    baseline_policy = TiltPolicy.fixed(loc.latitude_deg)
-    base = annual_insolation(loc, baseline_policy, model)
-    entries = []
-    for policy in policies:
-        result = annual_insolation(loc, policy, model)
-        gain = 100.0 * (result.energy_wh_m2 - base.energy_wh_m2) / base.energy_wh_m2
-        entries.append(PolicyGain(policy.label, result.energy_wh_m2, gain))
-    return GainReport(
-        latitude_deg=loc.latitude_deg,
-        mode=mode,
-        baseline=PolicyGain(base.policy, base.energy_wh_m2, 0.0),
-        policies=tuple(entries),
-    )
+    grid = _sample_days(loc, FULL_YEAR, model)
+    *energies, base = (_policy_energy(grid, policy) for policy in policies)
+    gains = [PolicyGain(p.label, e, 100.0 * (e - base) / base) for p, e in zip(policies, energies)]
+    baseline = PolicyGain(policies[-1].label, base, 0.0)
+    return GainReport(loc.latitude_deg, mode, baseline, tuple(gains))

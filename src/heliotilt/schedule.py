@@ -21,9 +21,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, NamedTuple
+from typing import NamedTuple, Sequence
 
 from .geometry import (
+    DAYS_PER_YEAR,
     EARTH_TILT_DEG,
     Location,
     _check_day,
@@ -50,6 +51,7 @@ MONTH_NAMES = (
 MONTH_LENGTHS = (31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31)
 # day of year before the 1st of each month, 365-day year
 _CUM_DAYS = (0, 31, 59, 90, 120, 151, 181, 212, 243, 273, 304, 334)
+_DAYS = range(1, DAYS_PER_YEAR + 1)
 
 SEASON_NAMES = ("winter", "spring", "summer", "fall")
 SEASON_MONTHS = ((1, 2, 3), (4, 5, 6), (7, 8, 9), (10, 11, 12))
@@ -98,6 +100,17 @@ def _require_northern(loc: Location) -> float:
 
 def _clamp_tilt(value: float) -> float:
     return min(max(value, 0.0), 90.0)
+
+
+def _check_tilt(tilt_deg: float) -> float:
+    if not 0.0 <= tilt_deg <= 90.0:
+        raise ValueError(f"panel tilt must be in [0, 90] degrees, got {tilt_deg}")
+    return float(tilt_deg)
+
+
+def round_half_up(value: float) -> int:
+    """Whole degrees for display, .5 always rounding up."""
+    return int(math.floor(value + 0.5))
 
 
 class TiltValue(NamedTuple):
@@ -188,7 +201,7 @@ class SeasonalSchedule:
 
     def rounded(self) -> tuple[int, int, int, int]:
         """Whole-degree display values, .5 always rounding up."""
-        return tuple(int(math.floor(b + 0.5)) for b in self.betas_deg)
+        return tuple(round_half_up(b) for b in self.betas_deg)
 
 
 def seasonal_schedule(loc: Location, mode: TiltMode = TiltMode.PAPER) -> SeasonalSchedule:
@@ -203,43 +216,40 @@ def seasonal_schedule(loc: Location, mode: TiltMode = TiltMode.PAPER) -> Seasona
 
 
 class TiltPolicy:
-    """Maps a day of the year to a panel tilt under a named policy.
+    """A named policy: one panel tilt for each day of the 365-day year.
 
     Construct through the classmethods; kind is one of fixed, seasonal,
     monthly, daily and label is a short human-readable tag used in
-    reports.
+    reports. tilts_deg holds the tilt of day 1 first.
     """
 
-    def __init__(self, kind: str, label: str, resolve: Callable[[int], float]):
+    def __init__(self, kind: str, label: str, tilts_deg: Sequence[float]):
         self.kind = kind
         self.label = label
-        self._resolve = resolve
+        self.tilts_deg = tuple(_check_tilt(t) for t in tilts_deg)
+        if len(self.tilts_deg) != DAYS_PER_YEAR:
+            raise ValueError(f"a policy needs {DAYS_PER_YEAR} tilts, got {len(self.tilts_deg)}")
 
     def __repr__(self) -> str:
         return f"TiltPolicy({self.label})"
 
     def tilt_for_day(self, day: int) -> float:
-        return self._resolve(_check_day(day))
+        return self.tilts_deg[_check_day(day) - 1]
 
     @classmethod
     def fixed(cls, tilt_deg: float) -> "TiltPolicy":
-        if not 0.0 <= tilt_deg <= 90.0:
-            raise ValueError(f"fixed tilt must be in [0, 90] degrees, got {tilt_deg}")
-        return cls("fixed", f"fixed({tilt_deg:.2f})", lambda day: tilt_deg)
+        return cls("fixed", f"fixed({tilt_deg:.2f})", (tilt_deg,) * DAYS_PER_YEAR)
 
     @classmethod
     def seasonal(cls, schedule: SeasonalSchedule) -> "TiltPolicy":
-        return cls("seasonal", f"seasonal({schedule.mode.value})", schedule.beta_for_day)
+        label = f"seasonal({schedule.mode.value})"
+        return cls("seasonal", label, [schedule.beta_for_day(d) for d in _DAYS])
 
     @classmethod
     def monthly(cls, schedule: MonthlySchedule) -> "TiltPolicy":
-        return cls("monthly", f"monthly({schedule.mode.value})", schedule.beta_for_day)
+        label = f"monthly({schedule.mode.value})"
+        return cls("monthly", label, [schedule.beta_for_day(d) for d in _DAYS])
 
     @classmethod
     def daily(cls, loc: Location, *, simplified: bool = False) -> "TiltPolicy":
-        _require_northern(loc)
-        return cls(
-            "daily",
-            "daily",
-            lambda day: daily_tilt(loc, day, simplified=simplified),
-        )
+        return cls("daily", "daily", [daily_tilt(loc, d, simplified=simplified) for d in _DAYS])

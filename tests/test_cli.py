@@ -260,6 +260,10 @@ class TestErrorHandling:
             ("tilt", "--lat", "32.7", "--day", "400"),
             ("sun", "--lat", "32.7", "--day", "0"),
             ("sun", "--lat", "32.7", "--day", "81", "--step", "-5"),
+            ("optimize", "--lat", "32.7", "--step", "inf"),
+            ("optimize", "--lat", "32.7", "--step", "nan"),
+            ("gains", "--lat", "32.7", "--step", "1e9"),
+            ("chart", "--lat", "32.7", "--step", "inf"),
         ],
     )
     def test_domain_errors_exit_one(self, capsys, argv):

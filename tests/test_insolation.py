@@ -9,6 +9,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from heliotilt import (
     IrradianceModel,
@@ -19,9 +21,11 @@ from heliotilt import (
     daily_insolation,
     gain_report,
     incidence_cosine,
+    monthly_schedule,
     noon_elevation,
     noon_elevation_folded,
     optimize_fixed_tilt,
+    seasonal_schedule,
     sun_position,
     sunrise_hour_angle,
 )
@@ -81,6 +85,17 @@ class TestDirectNormal:
             IrradianceModel(solar_constant_w_m2=0.0)
         with pytest.raises(ValueError):
             IrradianceModel(time_step_minutes=-1.0)
+
+    @pytest.mark.parametrize("step", [math.inf, math.nan, 0.05, 120.5])
+    def test_rejects_unbounded_steps(self, step):
+        # the bound is checked before any grid is built, so a tiny step
+        # never reaches an allocation
+        with pytest.raises(ValueError, match="time step"):
+            IrradianceModel(time_step_minutes=step)
+
+    @pytest.mark.parametrize("step", [0.1, 0.5, 120.0])
+    def test_accepts_steps_at_the_bounds(self, step):
+        assert IrradianceModel(time_step_minutes=step).time_step_minutes == step
 
 
 class TestIncidenceCosine:
@@ -218,6 +233,56 @@ class TestDailyInsolation:
             daily_insolation(SITE, 0, 30.0)
 
 
+def trapezoid_bounds(lat, day, tilt, step_minutes=1.0):
+    """Daily Wh/m^2 by the README's rule, written from its formulas alone.
+
+    Trapezoid over the uniform hour-angle grid from sunrise to sunset,
+    with the incidence cosine in its equivalent-latitude form
+    sin(lat - tilt) sin(decl) + cos(lat - tilt) cos(decl) cos(omega).
+    The two grid ends sit on the horizon, where rounding decides whether
+    the sun counts as up, so low leaves both ends out and high puts both
+    in at the capped-zenith irradiance.
+    """
+    decl = 23.45 * math.sin(math.radians(360.0 / 365.0 * (day - 81)))
+    x = -math.tan(math.radians(lat)) * math.tan(math.radians(decl))
+    if x >= 1.0:
+        return 0.0, 0.0
+    omega_s = 180.0 if x <= -1.0 else math.degrees(math.acos(x))
+    n = math.ceil(2.0 * omega_s / (step_minutes / 4.0))
+    omega = np.radians(np.linspace(-omega_s, omega_s, n + 1))
+    phi, delta, s = math.radians(lat), math.radians(decl), math.radians(lat - tilt)
+    sin_elev = math.sin(phi) * math.sin(delta) + math.cos(phi) * math.cos(delta) * np.cos(omega)
+    zenith = np.minimum(np.degrees(np.arccos(np.clip(sin_elev, -1.0, 1.0))), 89.0)
+    dni = 1353.0 * 0.7 ** ((1.0 / np.cos(np.radians(zenith))) ** 0.678)
+    cos_i = math.sin(s) * math.sin(delta) + math.cos(s) * math.cos(delta) * np.cos(omega)
+    power = dni * np.maximum(cos_i, 0.0)
+    ends = power[[0, -1]].copy()
+    power[[0, -1]] = 0.0
+    power[1:-1] *= sin_elev[1:-1] > 0.0
+    dh = np.diff(omega) * 12.0 / math.pi  # radians of hour angle to hours
+    low = float(np.sum(0.5 * (power[1:] + power[:-1]) * dh))
+    return low, low + 0.5 * float(ends[0] * dh[0] + ends[1] * dh[-1])
+
+
+class TestDailyInsolationProperty:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        lat=st.floats(0.0, 90.0),
+        day=st.integers(1, 365),
+        tilt=st.floats(0.0, 90.0),
+    )
+    @example(lat=80.0, day=355, tilt=40.0)   # polar night
+    @example(lat=80.0, day=172, tilt=40.0)   # midnight sun
+    @example(lat=66.6, day=172, tilt=90.0)   # the sun grazes the horizon at midnight
+    @example(lat=90.0, day=81, tilt=0.0)
+    @example(lat=0.0, day=172, tilt=90.0)
+    def test_inside_independent_trapezoid(self, lat, day, tilt):
+        energy = daily_insolation(Location(lat), day, tilt).energy_wh_m2
+        low, high = trapezoid_bounds(lat, day, tilt)
+        assert energy >= 0.0
+        assert low * (1.0 - 1e-9) <= energy <= high * (1.0 + 1e-9)
+
+
 class TestAnnualInsolation:
     def test_equals_sum_of_days(self):
         policy = TiltPolicy.fixed(32.7)
@@ -306,6 +371,17 @@ class TestOptimizeFixedTilt:
         ]
         assert all(a > b for a, b in zip(energies, energies[1:]))
 
+    @pytest.mark.parametrize("period", [(150, 200), (300, 365)])
+    def test_energy_is_the_sum_of_days_at_70n(self, period):
+        # midnight sun in the first range, polar night in the second
+        loc = Location(70.0)
+        result = optimize_fixed_tilt(loc, period)
+        total = sum(
+            daily_insolation(loc, d, result.tilt_deg).energy_wh_m2
+            for d in range(period[0], period[1] + 1)
+        )
+        assert result.energy_wh_m2 == pytest.approx(total, rel=1e-9)
+
     @pytest.mark.parametrize("period", [(200, 100), (0, 10), (1, 366), "year"])
     def test_rejects_bad_periods(self, period):
         with pytest.raises(ValueError):
@@ -368,8 +444,31 @@ class TestGainReport:
             expected = 100.0 * (entry.energy_wh_m2 - base) / base
             assert entry.gain_percent == pytest.approx(expected, abs=1e-9)
 
+    def test_energies_are_annual_insolation(self, paper_report):
+        policies = (
+            TiltPolicy.fixed(SITE.latitude_deg),
+            TiltPolicy.seasonal(seasonal_schedule(SITE, TiltMode.PAPER)),
+            TiltPolicy.monthly(monthly_schedule(SITE, TiltMode.PAPER)),
+            TiltPolicy.daily(SITE),
+        )
+        entries = (paper_report.baseline, *paper_report.policies)
+        for policy, entry in zip(policies, entries):
+            annual = annual_insolation(SITE, policy, FAST)
+            assert entry.policy == annual.policy
+            assert entry.energy_wh_m2 == pytest.approx(annual.energy_wh_m2, rel=1e-12)
+
     def test_rejects_non_northern(self):
         from heliotilt import UnsupportedHemisphereError
 
         with pytest.raises(UnsupportedHemisphereError):
             gain_report(Location(-33.0), FAST)
+
+
+class TestPolicyTilts:
+    def test_rejects_a_tilt_out_of_range(self):
+        with pytest.raises(ValueError):
+            TiltPolicy("fixed", "x", (95.0,) * 365)
+
+    def test_rejects_a_short_year(self):
+        with pytest.raises(ValueError):
+            TiltPolicy("fixed", "x", (30.0,) * 364)
