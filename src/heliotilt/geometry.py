@@ -120,20 +120,25 @@ def noon_zenith(loc: Location, day: int) -> float:
     return loc.latitude_deg - declination_exact(day)
 
 
+def _up_south(sin_phi, cos_phi, sin_delta, cos_delta, cos_omega):
+    """The spherical transform: sin(elev) and cos(elev) cos(az) from the sines and
+    cosines of latitude, declination and hour angle (east is cos(delta) sin(omega))."""
+    up = sin_phi * sin_delta + cos_phi * cos_delta * cos_omega
+    return up, cos_omega * cos_delta * sin_phi - sin_delta * cos_phi
+
+
 def _elevation_azimuth(latitude_deg, declination_deg, omega_deg):
     """Elevation and south-referenced azimuth for scalar or array hour angles.
 
-    Shared core of sun_position and the insolation integrator. Inputs in
+    The angles of _up_south, for sun_position and the charts. Inputs in
     degrees; omega may be an ndarray. Returns (elevation_deg, azimuth_deg).
     """
     phi = np.radians(latitude_deg)
     delta = np.radians(declination_deg)
     omega = np.radians(omega_deg)
-    sin_elev = np.sin(phi) * np.sin(delta) + np.cos(phi) * np.cos(delta) * np.cos(omega)
-    elevation = np.degrees(np.arcsin(np.clip(sin_elev, -1.0, 1.0)))
-    east = np.cos(delta) * np.sin(omega)
-    south = np.cos(omega) * np.cos(delta) * np.sin(phi) - np.sin(delta) * np.cos(phi)
-    azimuth = np.degrees(np.arctan2(east, south))
+    up, south = _up_south(np.sin(phi), np.cos(phi), np.sin(delta), np.cos(delta), np.cos(omega))
+    elevation = np.degrees(np.arcsin(np.clip(up, -1.0, 1.0)))
+    azimuth = np.degrees(np.arctan2(np.cos(delta) * np.sin(omega), south))
     return elevation, azimuth
 
 

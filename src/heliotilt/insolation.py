@@ -2,14 +2,15 @@
 
 Direct-normal irradiance follows the air-mass attenuation law
 S * 0.7 ** (AM ** 0.678) with AM = 1 / cos(zenith); the zenith is
-capped at 89 deg so the air mass stays finite at the horizon. The
-plane-of-array component multiplies by the incidence cosine floored at
-zero. Beam only: no diffuse or ground-reflected terms, which keeps the
-comparison between tilt policies purely geometric.
+capped at 89 deg, which makes AM = 1 / max(sin(elev), sin 1 deg) and
+keeps it finite at the horizon. The plane-of-array component multiplies
+by the incidence cosine floored at zero. Beam only: no diffuse or
+ground-reflected terms, so the policy comparison is purely geometric.
 
 Energy is the trapezoid rule over the hour angle from sunrise to sunset,
 in Wh per m^2, and every figure is one weighted sum: _sample_days samples
-a day range once, _energy adds DNI * trapezoid weight * max(0, cosine).
+a day range once, _energy adds DNI * trapezoid weight * max(0, cosine),
+and _sweep gives that sum at many tilts at once for the optimizer.
 """
 from __future__ import annotations
 
@@ -23,7 +24,7 @@ from .geometry import (
     Location,
     _check_day,
     _check_step,
-    _elevation_azimuth,
+    _up_south,
     declination_exact,
     sun_position,
     sunrise_hour_angle,
@@ -39,6 +40,7 @@ COARSE_STEP_DEG = 0.5
 FINE_STEP_DEG = 0.05
 
 FULL_YEAR = (1, 365)
+_BLOCK_SAMPLES = 1 << 14  # a grid block holds the days that start in one such window
 
 
 @dataclass(frozen=True)
@@ -49,8 +51,8 @@ class IrradianceModel:
     time_step_minutes: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.solar_constant_w_m2 <= 0.0:
-            raise ValueError("solar constant must be positive")
+        if not 0.0 < self.solar_constant_w_m2 < math.inf:
+            raise ValueError(f"solar constant must be in (0, inf), got {self.solar_constant_w_m2}")
         _check_step(self.time_step_minutes)
 
     def direct_normal(self, elevation_deg):
@@ -59,14 +61,15 @@ class IrradianceModel:
         Scalar in, scalar out; ndarray in, ndarray out. Zero at and
         below the horizon.
         """
-        elev = np.asarray(elevation_deg, dtype=float)
-        zenith = np.minimum(90.0 - elev, ZENITH_CAP_DEG)
-        air_mass = 1.0 / np.cos(np.radians(zenith))
-        dni = self.solar_constant_w_m2 * TRANSMITTANCE ** (air_mass ** AIR_MASS_EXPONENT)
-        out = np.where(elev > 0.0, dni, 0.0)
-        if np.ndim(elevation_deg) == 0:
-            return float(out)
-        return out
+        out = _direct_normal(self.solar_constant_w_m2, np.sin(np.radians(elevation_deg)))
+        return float(out) if np.ndim(elevation_deg) == 0 else out
+
+
+def _direct_normal(solar_constant, sin_elev):
+    """S * 0.7 ** (AM ** 0.678), AM = 1 / max(sin(elev), sin 1 deg); 0 unless sin(elev) > 0."""
+    air_mass = 1.0 / np.maximum(sin_elev, np.sin(np.radians(90.0 - ZENITH_CAP_DEG)))
+    dni = solar_constant * TRANSMITTANCE ** (air_mass ** AIR_MASS_EXPONENT)
+    return np.where(sin_elev > 0.0, dni, 0.0)
 
 
 @dataclass(frozen=True)
@@ -120,6 +123,8 @@ def incidence_cosine(
     """
     if not -90.0 <= tilt_deg <= 90.0:
         raise ValueError(f"tilt must be in [-90, 90] degrees, got {tilt_deg}")
+    if not math.isfinite(panel_azimuth_deg):
+        raise ValueError(f"panel azimuth must be finite degrees, got {panel_azimuth_deg}")
     angles = sun_position(loc, day, hour_angle_deg)
     elev = math.radians(angles.elevation_deg)
     az = math.radians(angles.azimuth_deg - panel_azimuth_deg)
@@ -139,40 +144,71 @@ class _Grid(NamedTuple):
 def _sample_days(loc: Location, period: tuple[int, int], model: IrradianceModel | None) -> _Grid:
     """Each day of a period from sunrise to sunset at the model step.
 
-    Filled day by day into preallocated rows: joining whole days would
-    hold the range twice.
+    Hour angles np.linspace(-omega_s, omega_s, n) per day, laid flat and
+    put straight through the spherical transform, a block of whole days
+    at a time so temporaries stay near _BLOCK_SAMPLES long.
     """
     model = model or IrradianceModel()
     days = range(period[0], period[1] + 1)
-    spans = [sunrise_hour_angle(loc, day) for day in days]
+    spans = np.array([sunrise_hour_angle(loc, day) for day in days])
     step_deg = model.time_step_minutes / 4.0  # 15 deg of hour angle per hour
-    counts = [math.ceil(2.0 * s / step_deg) + 1 if s > 0.0 else 0 for s in spans]
-    samples = np.empty((3, sum(counts)))
-    i = 0
-    for day, omega_s, n in zip(days, spans, counts):
-        omega = np.linspace(-omega_s, omega_s, n)
-        elev, az = _elevation_azimuth(loc.latitude_deg, declination_exact(day), omega)
-        elev_rad = np.radians(elev)
-        hours = np.zeros(n)
-        hours[:-1] = half = np.diff(omega / 15.0) / 2.0
-        hours[1:] += half
-        samples[0, i:i + n] = np.cos(elev_rad) * np.cos(np.radians(az))
-        samples[1, i:i + n] = np.sin(elev_rad)
-        samples[2, i:i + n] = model.direct_normal(elev) * hours
-        i += n
-    return _Grid(*samples, np.array(counts))
+    counts = np.array([math.ceil(2.0 * s / step_deg) + 1 if s > 0.0 else 0 for s in spans])
+    ends, phi = np.cumsum(counts), math.radians(loc.latitude_deg)
+    delta = np.radians([declination_exact(day) for day in days])
+    spacing = 2.0 * spans / np.maximum(counts - 1, 1)  # np.linspace's step
+    per_day = (ends - counts, spacing, spans, np.sin(delta), np.cos(delta))
+    samples = np.empty((3, int(ends[-1])))
+    edges = [0, *np.flatnonzero(np.diff((ends - counts) // _BLOCK_SAMPLES)) + 1, len(counts)]
+    for first, last in zip(edges, edges[1:]):
+        a, b, n = int(ends[first] - counts[first]), int(ends[last - 1]), counts[first:last]
+        start, step, span, sin_d, cos_d = (np.repeat(x[first:last], n) for x in per_day)
+        omega = (np.arange(a, b, dtype=float) - start) * step - span  # np.linspace, day by day
+        day_last = ends[first:last][n > 0] - a - 1
+        omega[day_last] = spans[first:last][n > 0]
+        half = np.diff(omega / 15.0) / 2.0  # trapezoid half-steps in hours
+        half[day_last[:-1]] = 0.0  # none across midnight
+        hours = np.append(half, 0.0) + np.append(0.0, half)
+        up, south = _up_south(math.sin(phi), math.cos(phi), sin_d, cos_d, np.cos(np.radians(omega)))
+        samples[:, a:b] = south, up, _direct_normal(model.solar_constant_w_m2, up) * hours
+    return _Grid(*samples, counts)
 
 
 def _energy(grid: _Grid, tilt_deg) -> float:
-    """Wh/m^2: weight @ max(0, sin(tilt) horiz + cos(tilt) vert), one tilt or one per sample."""
+    """Wh/m^2: weight @ max(0, sin(tilt) horiz + cos(tilt) vert), one tilt or one per day."""
     tilt = np.radians(tilt_deg)
-    cos_theta = np.sin(tilt) * grid.horiz
-    cos_theta += np.cos(tilt) * grid.vert
+    sin_t, cos_t = np.sin(tilt), np.cos(tilt)
+    if np.ndim(tilt):  # one tilt per day, over that day's samples
+        sin_t, cos_t = np.repeat(sin_t, grid.counts), np.repeat(cos_t, grid.counts)
+    sin_t *= grid.horiz  # in place for per-day tilts: two rows, not four
+    cos_t *= grid.vert
+    cos_theta = np.add(sin_t, cos_t, out=sin_t)
     return float(grid.weight @ np.maximum(cos_theta, 0.0, out=cos_theta))
 
 
-def _policy_energy(grid: _Grid, policy: TiltPolicy) -> float:
-    return _energy(grid, np.repeat(policy.tilts_deg, grid.counts))
+def _sweep(grid: _Grid):
+    """_energy at many tilts in [0, 90] from one sort; returns tilts_deg -> energies.
+
+    In [0, 90] only samples with horiz < 0 (sun north of the east-west line)
+    are clipped, once the tilt passes atan2(vert, -horiz), so E = sin(tilt)
+    (H - H_cut) + cos(tilt) (V - V_cut) from prefix sums in cut-off order.
+    """
+    behind = grid.horiz < 0.0
+    cut = np.arctan2(grid.vert[behind], -grid.horiz[behind])
+    order = np.argsort(cut)
+    cut.sort()
+    prefix = np.zeros((2, cut.size + 1))  # H_cut and V_cut
+    for row, coefficient in zip(prefix, (grid.horiz, grid.vert)):
+        weighted = grid.weight[behind]
+        weighted *= coefficient[behind]
+        np.cumsum(weighted[order], out=row[1:])
+    totals = grid.weight @ grid.horiz, grid.weight @ grid.vert
+
+    def energies(tilts_deg):
+        tilt = np.radians(tilts_deg)
+        h_cut, v_cut = prefix[:, np.searchsorted(cut, tilt)]
+        return np.sin(tilt) * (totals[0] - h_cut) + np.cos(tilt) * (totals[1] - v_cut)
+
+    return energies
 
 
 def daily_insolation(
@@ -199,7 +235,7 @@ def annual_insolation(
 ) -> InsolationResult:
     """Energy over the full 365-day year under a tilt policy."""
     grid = _sample_days(loc, FULL_YEAR, model)
-    return InsolationResult(_policy_energy(grid, policy), FULL_YEAR, policy.label)
+    return InsolationResult(_energy(grid, policy.tilts_deg), FULL_YEAR, policy.label)
 
 
 def _check_period(period: tuple[int, int]) -> tuple[int, int]:
@@ -225,17 +261,14 @@ def optimize_fixed_tilt(
     The panel is assumed south-facing, whatever the latitude.
     """
     grid = _sample_days(loc, _check_period(period), model)
-
-    def best(tilts: np.ndarray) -> OptimalTilt:
-        energies = [_energy(grid, t) for t in tilts]
-        i = int(np.argmax(energies))
-        return OptimalTilt(float(tilts[i]), energies[i])
-
+    energies = _sweep(grid)
     coarse = np.linspace(0.0, 90.0, int(round(90.0 / COARSE_STEP_DEG)) + 1)
-    top = best(coarse).tilt_deg
+    top = float(coarse[np.argmax(energies(coarse))])
     lo, hi = max(0.0, top - COARSE_STEP_DEG), min(90.0, top + COARSE_STEP_DEG)
-    steps = int(round((hi - lo) / FINE_STEP_DEG))
-    return best(lo + FINE_STEP_DEG * np.arange(steps + 1))
+    fine = lo + FINE_STEP_DEG * np.arange(int(round((hi - lo) / FINE_STEP_DEG)) + 1)
+    tilt = float(fine[np.argmax(energies(fine))])
+    del energies  # frees the sorted table before _energy's two grid-length rows
+    return OptimalTilt(tilt, _energy(grid, tilt))
 
 
 def gain_report(
@@ -259,7 +292,7 @@ def gain_report(
         TiltPolicy.fixed(loc.latitude_deg),
     )
     grid = _sample_days(loc, FULL_YEAR, model)
-    *energies, base = (_policy_energy(grid, policy) for policy in policies)
+    *energies, base = (_energy(grid, policy.tilts_deg) for policy in policies)
     gains = [PolicyGain(p.label, e, 100.0 * (e - base) / base) for p, e in zip(policies, energies)]
     baseline = PolicyGain(policies[-1].label, base, 0.0)
     return GainReport(loc.latitude_deg, mode, baseline, tuple(gains))

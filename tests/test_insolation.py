@@ -29,6 +29,7 @@ from heliotilt import (
     sun_position,
     sunrise_hour_angle,
 )
+from heliotilt.insolation import _BLOCK_SAMPLES, _energy, _Grid, _sample_days, _sweep
 
 SITE = Location(32.7)
 FAST = IrradianceModel(time_step_minutes=5.0)
@@ -85,6 +86,11 @@ class TestDirectNormal:
             IrradianceModel(solar_constant_w_m2=0.0)
         with pytest.raises(ValueError):
             IrradianceModel(time_step_minutes=-1.0)
+
+    @pytest.mark.parametrize("constant", [math.nan, math.inf, 0.0, -1.0])
+    def test_rejects_a_non_finite_or_non_positive_solar_constant(self, constant):
+        with pytest.raises(ValueError, match="solar constant"):
+            IrradianceModel(solar_constant_w_m2=constant)
 
     @pytest.mark.parametrize("step", [math.inf, math.nan, 0.05, 120.5])
     def test_rejects_unbounded_steps(self, step):
@@ -165,6 +171,11 @@ class TestIncidenceCosine:
     def test_rejects_bad_tilt(self, bad):
         with pytest.raises(ValueError):
             incidence_cosine(SITE, 81, 0.0, bad)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_a_non_finite_panel_azimuth(self, bad):
+        with pytest.raises(ValueError, match="panel azimuth"):
+            incidence_cosine(SITE, 81, 0.0, 30.0, panel_azimuth_deg=bad)
 
 
 class TestDailyInsolation:
@@ -270,17 +281,44 @@ class TestDailyInsolationProperty:
         lat=st.floats(0.0, 90.0),
         day=st.integers(1, 365),
         tilt=st.floats(0.0, 90.0),
+        step=st.floats(0.5, 120.0),
     )
-    @example(lat=80.0, day=355, tilt=40.0)   # polar night
-    @example(lat=80.0, day=172, tilt=40.0)   # midnight sun
-    @example(lat=66.6, day=172, tilt=90.0)   # the sun grazes the horizon at midnight
-    @example(lat=90.0, day=81, tilt=0.0)
-    @example(lat=0.0, day=172, tilt=90.0)
-    def test_inside_independent_trapezoid(self, lat, day, tilt):
-        energy = daily_insolation(Location(lat), day, tilt).energy_wh_m2
-        low, high = trapezoid_bounds(lat, day, tilt)
+    @example(lat=80.0, day=355, tilt=40.0, step=1.0)   # polar night
+    @example(lat=80.0, day=172, tilt=40.0, step=1.0)   # midnight sun
+    @example(lat=66.6, day=172, tilt=90.0, step=1.0)   # the sun grazes the horizon at midnight
+    @example(lat=90.0, day=81, tilt=0.0, step=1.0)
+    @example(lat=0.0, day=172, tilt=90.0, step=1.0)
+    @example(lat=32.7, day=81, tilt=32.7, step=120.0)  # a day of seven samples
+    def test_inside_independent_trapezoid(self, lat, day, tilt, step):
+        model = IrradianceModel(time_step_minutes=step)
+        energy = daily_insolation(Location(lat), day, tilt, model).energy_wh_m2
+        low, high = trapezoid_bounds(lat, day, tilt, step)
         assert energy >= 0.0
         assert low * (1.0 - 1e-9) <= energy <= high * (1.0 + 1e-9)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(
+        lat=st.floats(0.0, 90.0),
+        day=st.integers(1, 365),
+        tilt=st.floats(0.0, 90.0),
+        step=st.floats(0.5, 120.0),
+    )
+    @example(lat=80.0, day=172, tilt=40.0, step=1.0)   # midnight sun
+    @example(lat=32.7, day=172, tilt=60.0, step=7.0)   # clipped mornings and evenings
+    def test_symmetric_about_noon(self, lat, day, tilt, step):
+        # the samples before noon carry the same energy as those after it,
+        # and with the noon sample, when there is one, they make the day
+        model = IrradianceModel(time_step_minutes=step)
+        grid = _sample_days(Location(lat), (day, day), model)
+        n = grid.weight.size
+        morning, noon, afternoon = (
+            _energy(_Grid(*(row[part] for row in grid[:3]), grid.counts), tilt)
+            for part in (slice(0, n // 2), slice(n // 2, (n + 1) // 2), slice((n + 1) // 2, n))
+        )
+        scale = float(grid.weight @ (np.abs(grid.horiz) + np.abs(grid.vert)))
+        assert abs(morning - afternoon) <= 1e-12 * scale
+        total = daily_insolation(Location(lat), day, tilt, model).energy_wh_m2
+        assert abs(morning + noon + afternoon - total) <= 1e-12 * scale
 
 
 class TestAnnualInsolation:
@@ -386,6 +424,86 @@ class TestOptimizeFixedTilt:
     def test_rejects_bad_periods(self, period):
         with pytest.raises(ValueError):
             optimize_fixed_tilt(SITE, period)
+
+
+SWEEP_LATITUDES = (0.0, 10.0, 23.45, 32.7, 66.55, 70.0, 90.0)
+BLOCK_CROSSING = (60, 200)  # a lit day starts in a second grid block, at every latitude
+
+
+def coarse_then_fine(energy):
+    """The optimizer's 0.5 deg then 0.05 deg sweep, written out over any energy(tilt)."""
+    coarse = np.linspace(0.0, 90.0, 181)
+    top = float(coarse[int(np.argmax([energy(t) for t in coarse]))])
+    lo, hi = max(0.0, top - 0.5), min(90.0, top + 0.5)
+    fine = lo + 0.05 * np.arange(int(round((hi - lo) / 0.05)) + 1)
+    return float(fine[int(np.argmax([energy(t) for t in fine]))])
+
+
+class TestSweep:
+    @pytest.mark.parametrize("lat", SWEEP_LATITUDES)
+    @pytest.mark.parametrize("period", [(1, 365), (172, 172), (355, 355), BLOCK_CROSSING])
+    def test_equals_the_kernel_at_every_half_degree(self, lat, period):
+        grid = _sample_days(Location(lat), period, FAST)
+        if period == BLOCK_CROSSING:  # a lit day starts in the second block
+            starts = np.cumsum(grid.counts) - grid.counts
+            assert np.any(starts[grid.counts > 0] >= _BLOCK_SAMPLES)
+        tilts = np.linspace(0.0, 90.0, 181)
+        swept = _sweep(grid)(tilts)
+        # an absolute bound: the energy is exactly 0 at 0N, day 172, tilt 90
+        scale = float(grid.weight @ (np.abs(grid.horiz) + np.abs(grid.vert)))
+        for tilt, energy in zip(tilts, swept):
+            assert abs(energy - _energy(grid, tilt)) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("lat", SWEEP_LATITUDES)
+    @pytest.mark.parametrize("period", [(1, 365), (150, 240)])
+    def test_optimizer_picks_the_kernel_argmax(self, lat, period):
+        grid = _sample_days(Location(lat), period, FAST)
+        expected = coarse_then_fine(lambda tilt: _energy(grid, tilt))
+        result = optimize_fixed_tilt(Location(lat), period, FAST)
+        assert result.tilt_deg == expected
+        assert result.energy_wh_m2 == _energy(grid, expected)
+
+
+class TestSampleGrid:
+    @staticmethod
+    def check_day(loc, day, horiz, vert, weight, model):
+        omega_s = sunrise_hour_angle(loc, day)
+        omegas = np.linspace(-omega_s, omega_s, weight.size)
+        hours = np.zeros(weight.size)
+        hours[:-1] += np.diff(omegas / 15.0) / 2.0
+        hours[1:] += np.diff(omegas / 15.0) / 2.0
+        for i, omega in enumerate(omegas):
+            angles = sun_position(loc, day, float(omega))
+            elev, az = math.radians(angles.elevation_deg), math.radians(angles.azimuth_deg)
+            assert horiz[i] == pytest.approx(math.cos(elev) * math.cos(az), rel=0.0, abs=1e-12)
+            assert vert[i] == pytest.approx(math.sin(elev), rel=0.0, abs=1e-12)
+            dni = model.direct_normal(angles.elevation_deg)
+            assert weight[i] == pytest.approx(dni * hours[i], rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "lat,day",
+        [(32.7, 81), (32.7, 355), (10.0, 355), (50.0, 172), (70.0, 172)],  # 70N, 172: midnight sun
+    )
+    def test_one_day_matches_sun_position(self, lat, day):
+        loc, model = Location(lat), IrradianceModel()
+        grid = _sample_days(loc, (day, day), model)
+        assert grid.counts.tolist() == [grid.weight.size]
+        self.check_day(loc, day, grid.horiz, grid.vert, grid.weight, model)
+
+    @pytest.mark.parametrize("lat,period", [(32.7, (1, 365)), (70.0, (150, 200))])
+    def test_days_either_side_of_a_block_edge(self, lat, period):
+        # a block holds the days that start in one window of samples, so
+        # the first day to start past the window opens the second block;
+        # under the midnight sun (70N) the days' end samples carry weight
+        loc, model = Location(lat), IrradianceModel()
+        grid = _sample_days(loc, period, model)
+        ends = np.cumsum(grid.counts)
+        first_of_next = int(np.searchsorted(ends - grid.counts, _BLOCK_SAMPLES))
+        for i in (first_of_next - 2, first_of_next - 1, first_of_next):
+            assert grid.counts[i] > 0
+            part = slice(ends[i] - grid.counts[i], ends[i])
+            day = period[0] + i
+            self.check_day(loc, day, grid.horiz[part], grid.vert[part], grid.weight[part], model)
 
 
 @pytest.fixture(scope="module")
