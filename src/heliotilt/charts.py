@@ -1,9 +1,11 @@
 """Chart series, schedule tables, and the CSV/JSON/SVG renderers.
 
-Everything here is deterministic: the same inputs produce the same
-bytes, angles are always printed with exactly two decimals, CSV uses LF
-line endings with a header row, and the SVG is hand-rolled with no
-external assets so files can be diffed byte for byte.
+JSON and CSV share one output layer: a caller states each printed field
+once as a Column, and json_rows/json_column and render_csv print rows
+from it. Everything here is deterministic: the same inputs produce the
+same bytes, angles are always printed with exactly two decimals, CSV
+uses LF line endings with a header row, and the SVG is hand-rolled with
+no external assets so files can be diffed byte for byte.
 """
 from __future__ import annotations
 
@@ -27,10 +29,14 @@ from .schedule import (
     TiltMode,
     daily_tilt_details,
     monthly_schedule,
-    round_half_up,
     seasonal_schedule,
     tilt_extremes,
 )
+
+# A printed field: (name, digits, csv format). JSON prints
+# round(v, digits) + 0.0 (digits None: v as it is); CSV prints that number
+# through format(); a csv format of None keeps the field out of CSV.
+Column = tuple[str, "int | None", "str | None"]
 
 # 21st of each month in the 365-day year
 DEFAULT_CHART_DAYS = (21, 52, 80, 111, 141, 172, 202, 233, 264, 294, 325, 355)
@@ -45,16 +51,6 @@ _OFFSET_NOTES = {
         "+23.45 and latitude -23.45 deg"
     ),
 }
-
-
-def fmt_angle(value: float) -> str:
-    """An angle with exactly two decimals; negative zero normalized away."""
-    return f"{round(value, 2) + 0.0:.2f}"
-
-
-def fmt_x(value: float) -> str:
-    """A chart abscissa (hours or days): compact, stable under re-parsing."""
-    return f"{round(value, 4) + 0.0:g}"
 
 
 @dataclass(frozen=True)
@@ -160,8 +156,9 @@ def sun_day_rows(
     """
     series = sunpath_chart(loc, (day,), step_minutes, include_azimuth=True)
     elev_series, az_series = series
-    # compass = (signed + 180) mod 360 and compass is in [0, 360), so the
-    # inverse is a plain shift
+    # compass = (signed + 180) mod 360 with compass in [0, 360), so the
+    # signed column is compass - 180, in [-180, 180): a due-north sun reads
+    # -180 here where sun_position says +180
     return [
         (h, e, ca - 180.0, ca)
         for h, e, ca in zip(elev_series.x, elev_series.y, az_series.y)
@@ -214,38 +211,47 @@ def schedule_table(
     )
 
 
-def schedule_csv(table: ScheduleTable) -> str:
-    """CSV rendering of a schedule table.
+def angle(name: str) -> Column:
+    """The column of an angle: two decimals in JSON and in CSV."""
+    return (name, 2, ".2f")
 
-    Paper-mode seasonal values print as whole degrees, matching the way
-    that table is conventionally quoted; everything else gets two
-    decimals.
+
+def fmt_angle(value: float) -> str:
+    """An angle with exactly two decimals; negative zero normalized away."""
+    return _csv_cells(angle(""), (value,))[0]
+
+
+def json_column(column: Column, values) -> list:
+    """A column's values as JSON numbers: rounded to its digits, no -0.0."""
+    digits = column[1]
+    if digits is None:
+        return list(values)
+    return [round(v, digits) + 0.0 for v in values]
+
+
+def _csv_cells(column: Column, values) -> list[str]:
+    fmt = column[2]
+    return [format(v, fmt) for v in json_column(column, values)]
+
+
+def json_rows(columns: tuple[Column, ...], rows) -> list[dict]:
+    """Each row as a JSON object keyed by the column names, in column order."""
+    names = [name for name, _, _ in columns]
+    values = [json_column(c, col) for c, col in zip(columns, zip(*rows))]
+    return [dict(zip(names, row)) for row in zip(*values)]
+
+
+def render_csv(columns: tuple[Column, ...], rows) -> str:
+    """A header and one LF-terminated line per row, skipping JSON-only columns.
+
+    Cells are formatted a column at a time, which keeps long sun-path
+    charts cheap.
     """
-    label = "month" if table.granularity == "monthly" else "season"
-    lines = [f"{label},tilt_deg"]
-    whole = table.granularity == "seasonal" and table.mode is TiltMode.PAPER
-    for name, value in table.rows:
-        shown = str(round_half_up(value)) if whole else fmt_angle(value)
-        lines.append(f"{name},{shown}")
-    return "\n".join(lines) + "\n"
-
-
-def chart_csv(series_list: list[ChartSeries]) -> str:
-    """Long-format CSV for one or more chart series: series,x,y."""
-    lines = ["series,x,y"]
-    for series in series_list:
-        for x, y in zip(series.x, series.y):
-            lines.append(f"{series.name},{fmt_x(x)},{fmt_angle(y)}")
-    return "\n".join(lines) + "\n"
-
-
-def sun_csv(rows: list[tuple[float, float, float, float]]) -> str:
-    """CSV for one day's sun positions."""
-    lines = ["solar_hour,elevation_deg,azimuth_deg,compass_azimuth_deg"]
-    for hour, elev, az, compass in rows:
-        lines.append(
-            f"{fmt_x(hour)},{fmt_angle(elev)},{fmt_angle(az)},{fmt_angle(compass)}"
-        )
+    shown = [c for c in columns if c[2] is not None]
+    cells = [
+        _csv_cells(c, col) for c, col in zip(columns, zip(*rows)) if c[2] is not None
+    ]
+    lines = [",".join(name for name, _, _ in shown), *map(",".join, zip(*cells))]
     return "\n".join(lines) + "\n"
 
 

@@ -4,9 +4,11 @@ Subcommands cover sun positions through a day, single tilt lookups,
 monthly and seasonal schedule tables, the brute-force fixed-tilt
 optimum, annual gain reports, and chart emission. Output goes to stdout
 or --out as json or csv (svg for charts; the bare tilt lookup defaults
-to plain text). Usage mistakes exit 2; domain errors such as a latitude
-off the globe or a schedule request south of the equator exit 1 with a
-one-line diagnostic on stderr.
+to plain text); each subcommand builds its rows once and prints both
+formats from one column spec. Usage mistakes exit 2; domain errors such
+as a latitude off the globe or a schedule request south of the equator,
+and an --out path that cannot be written, exit 1 with a one-line
+diagnostic on stderr.
 """
 from __future__ import annotations
 
@@ -16,13 +18,14 @@ from pathlib import Path
 
 from .charts import (
     DEFAULT_CHART_DAYS,
-    chart_csv,
+    angle,
     fmt_angle,
+    json_column,
+    json_rows,
+    render_csv,
     render_json,
     render_svg,
-    schedule_csv,
     schedule_table,
-    sun_csv,
     sun_day_rows,
     sunpath_chart,
     tilt_curve,
@@ -37,46 +40,45 @@ from .schedule import (
     round_half_up,
 )
 
+# Every printed field as a (name, digits, csv format) column; see
+# charts.Column. A csv format of None marks a JSON-only field.
+TILT = angle("tilt_deg")
+ENERGY = ("energy_wh_m2", 2, ".2f")
+TILT_DAY_COLUMNS = (("rule", None, None), ("day", None, ""), TILT, ("clamped", None, None))
+TILT_MONTH_COLUMNS = (("rule", None, None), ("month", None, ""), ("mode", None, None), TILT)
+OPTIMUM_COLUMNS = (
+    ("start_day", None, ""), ("end_day", None, ""), ("step_minutes", None, None), TILT, ENERGY
+)
+GAIN_COLUMNS = (("policy", None, ""), ENERGY, ("gain_percent", 3, ".3f"))
+SUN_COLUMNS = (("solar_hour", 4, "g"), angle("elevation_deg"), angle("azimuth_deg"),
+               angle("compass_azimuth_deg"))
+CHART_COLUMNS = (("series", None, ""), ("x", 4, "g"), angle("y"))
+
 
 class UsageError(Exception):
     """Bad argument combinations not expressible as argparse constraints."""
 
 
-def _round2(value: float) -> float:
-    return round(value, 2) + 0.0
-
-
-def _round4(value: float) -> float:
-    return round(value, 4) + 0.0
-
-
 def _clean_metadata(metadata: dict) -> dict:
-    return {
-        k: _round2(v) if isinstance(v, float) else v for k, v in metadata.items()
-    }
+    # the float metadata of charts and schedules are latitudes and tilts
+    return {k: json_column(angle(k), (v,))[0] if isinstance(v, float) else v
+            for k, v in metadata.items()}
+
+
+def _one_row(args: argparse.Namespace, kind: str, columns, row: tuple) -> str:
+    """A one-row table as CSV, or its fields as one flat JSON object."""
+    if args.format == "csv":
+        return render_csv(columns, [row])
+    (fields,) = json_rows(columns, [row])
+    return render_json({"kind": kind, "latitude_deg": args.lat, **fields})
 
 
 def _cmd_sun(args: argparse.Namespace) -> str:
-    loc = Location(args.lat)
-    rows = sun_day_rows(loc, args.day, args.step)
+    rows = sun_day_rows(Location(args.lat), args.day, args.step)
     if args.format == "csv":
-        return sun_csv(rows)
-    payload = {
-        "kind": "sun",
-        "latitude_deg": args.lat,
-        "day": args.day,
-        "step_minutes": args.step,
-        "rows": [
-            {
-                "solar_hour": _round4(hour),
-                "elevation_deg": _round2(elev),
-                "azimuth_deg": _round2(az),
-                "compass_azimuth_deg": _round2(compass),
-            }
-            for hour, elev, az, compass in rows
-        ],
-    }
-    return render_json(payload)
+        return render_csv(SUN_COLUMNS, rows)
+    head = {"kind": "sun", "latitude_deg": args.lat, "day": args.day, "step_minutes": args.step}
+    return render_json({**head, "rows": json_rows(SUN_COLUMNS, rows)})
 
 
 def _cmd_tilt(args: argparse.Namespace) -> str:
@@ -84,148 +86,91 @@ def _cmd_tilt(args: argparse.Namespace) -> str:
     if (args.day is None) == (args.month is None):
         raise UsageError("exactly one of --day or --month is required")
     if args.day is not None:
-        detail = daily_tilt_details(loc, args.day, simplified=args.simplified)
-        value = detail.tilt_deg
-        payload = {
-            "kind": "tilt",
-            "latitude_deg": args.lat,
-            "rule": "daily",
-            "day": args.day,
-            "tilt_deg": _round2(value),
-            "clamped": detail.clamped,
-        }
-        csv_text = f"day,tilt_deg\n{args.day},{fmt_angle(value)}\n"
+        value, clamped = daily_tilt_details(loc, args.day, simplified=args.simplified)
+        columns, row = TILT_DAY_COLUMNS, ("daily", args.day, value, clamped)
     else:
-        schedule = monthly_schedule(loc, TiltMode(args.mode))
-        value = schedule.beta_for_month(args.month)
-        payload = {
-            "kind": "tilt",
-            "latitude_deg": args.lat,
-            "rule": "monthly",
-            "month": args.month,
-            "mode": args.mode,
-            "tilt_deg": _round2(value),
-        }
-        csv_text = f"month,tilt_deg\n{args.month},{fmt_angle(value)}\n"
+        value = monthly_schedule(loc, TiltMode(args.mode)).beta_for_month(args.month)
+        columns, row = TILT_MONTH_COLUMNS, ("monthly", args.month, args.mode, value)
     if args.format == "text":
         return fmt_angle(value) + "\n"
-    if args.format == "csv":
-        return csv_text
-    return render_json(payload)
+    return _one_row(args, "tilt", columns, row)
 
 
 def _cmd_schedule(args: argparse.Namespace) -> str:
     table = schedule_table(Location(args.lat), args.granularity, TiltMode(args.mode))
+    seasonal = table.granularity == "seasonal"
+    rounded = [round_half_up(value) for _, value in table.rows]
     if args.format == "csv":
-        return schedule_csv(table)
+        label = ("season" if seasonal else "month", None, "")
+        if seasonal and table.mode is TiltMode.PAPER:
+            # the paper quotes its seasonal table in whole degrees
+            rows = [(name, r) for (name, _), r in zip(table.rows, rounded)]
+            return render_csv((label, ("tilt_deg", None, "d")), rows)
+        return render_csv((label, TILT), table.rows)
     payload = {
         "kind": "schedule",
         "latitude_deg": args.lat,
         "mode": table.mode.value,
         "granularity": table.granularity,
-        "rows": [
-            {"period": name, "tilt_deg": _round2(value)} for name, value in table.rows
-        ],
+        "rows": json_rows((("period", None, ""), TILT), table.rows),
     }
-    if table.granularity == "seasonal":
-        payload["rounded_deg"] = [round_half_up(value) for _, value in table.rows]
+    if seasonal:
+        payload["rounded_deg"] = rounded
     payload["metadata"] = _clean_metadata(table.metadata)
     return render_json(payload)
 
 
 def _cmd_optimize(args: argparse.Namespace) -> str:
-    loc = Location(args.lat)
     model = IrradianceModel(time_step_minutes=args.step)
-    result = optimize_fixed_tilt(loc, (args.start_day, args.end_day), model)
-    if args.format == "csv":
-        return (
-            "start_day,end_day,tilt_deg,energy_wh_m2\n"
-            f"{args.start_day},{args.end_day},{fmt_angle(result.tilt_deg)},"
-            f"{result.energy_wh_m2:.2f}\n"
-        )
-    payload = {
-        "kind": "optimum",
-        "latitude_deg": args.lat,
-        "start_day": args.start_day,
-        "end_day": args.end_day,
-        "step_minutes": args.step,
-        "tilt_deg": _round2(result.tilt_deg),
-        "energy_wh_m2": _round2(result.energy_wh_m2),
-    }
-    return render_json(payload)
+    period = (args.start_day, args.end_day)
+    result = optimize_fixed_tilt(Location(args.lat), period, model)
+    return _one_row(args, "optimum", OPTIMUM_COLUMNS, (*period, args.step, *result))
 
 
 def _cmd_gains(args: argparse.Namespace) -> str:
-    report = gain_report(
-        Location(args.lat),
-        IrradianceModel(time_step_minutes=args.step),
-        TiltMode(args.mode),
-    )
-    entries = [report.baseline, *report.policies]
+    model = IrradianceModel(time_step_minutes=args.step)
+    report = gain_report(Location(args.lat), model, TiltMode(args.mode))
+    rows = [(e.policy, e.energy_wh_m2, e.gain_percent)
+            for e in (report.baseline, *report.policies)]
     if args.format == "csv":
-        lines = ["policy,energy_wh_m2,gain_percent"]
-        lines += [
-            f"{e.policy},{e.energy_wh_m2:.2f},{e.gain_percent:.3f}" for e in entries
-        ]
-        return "\n".join(lines) + "\n"
-    def row(entry):
-        return {
-            "policy": entry.policy,
-            "energy_wh_m2": _round2(entry.energy_wh_m2),
-            "gain_percent": round(entry.gain_percent, 3) + 0.0,
-        }
-    payload = {
-        "kind": "gains",
-        "latitude_deg": args.lat,
-        "mode": report.mode.value,
-        "step_minutes": args.step,
-        "baseline": row(report.baseline),
-        "policies": [row(e) for e in report.policies],
-    }
+        return render_csv(GAIN_COLUMNS, rows)
+    baseline, *policies = json_rows(GAIN_COLUMNS, rows)
+    payload = {"kind": "gains", "latitude_deg": args.lat, "mode": report.mode.value,
+               "step_minutes": args.step, "baseline": baseline, "policies": policies}
     return render_json(payload)
 
 
 def _parse_days(text: str) -> tuple[int, ...]:
     try:
-        days = tuple(int(part) for part in text.split(","))
+        return tuple(int(part) for part in text.split(","))
     except ValueError:
         raise UsageError(
             f"--days must be a comma-separated list of integers, got {text!r}"
         ) from None
-    if not days:
-        raise UsageError("--days must name at least one day")
-    return days
 
 
 def _cmd_chart(args: argparse.Namespace) -> str:
     loc = Location(args.lat)
     if args.kind == "sunpath":
-        days = _parse_days(args.days) if args.days else DEFAULT_CHART_DAYS
+        days = DEFAULT_CHART_DAYS if args.days is None else _parse_days(args.days)
         series = sunpath_chart(loc, days, args.step, include_azimuth=args.azimuth)
-        title = "Sun path"
-        x_label = "solar hour"
-        payload_extra = {"step_minutes": args.step}
+        title, x_label, head = "Sun path", "solar hour", {"step_minutes": args.step}
     else:
-        series = [tilt_curve(loc)]
-        title = "Daily tilt"
-        x_label = "day of year"
-        payload_extra = {}
+        series, title, x_label, head = [tilt_curve(loc)], "Daily tilt", "day of year", {}
     if args.format == "csv":
-        return chart_csv(series)
+        rows = [(s.name, x, y) for s in series for x, y in zip(s.x, s.y)]
+        return render_csv(CHART_COLUMNS, rows)
     if args.format == "svg":
         return render_svg(series, title, x_label, "degrees")
+    _, x_column, y_column = CHART_COLUMNS
     payload = {
         "kind": "chart",
         "latitude_deg": args.lat,
         "chart": args.kind,
-        **payload_extra,
+        **head,
         "series": [
-            {
-                "name": s.name,
-                "x": [_round4(x) for x in s.x],
-                "y": [_round2(y) for y in s.y],
-                "metadata": _clean_metadata(s.metadata),
-            }
+            {"name": s.name, "x": json_column(x_column, s.x), "y": json_column(y_column, s.y),
+             "metadata": _clean_metadata(s.metadata)}
             for s in series
         ],
     }
@@ -258,11 +203,14 @@ def _build_parser() -> argparse.ArgumentParser:
         p.set_defaults(handler=handler)
         return p
 
+    def add_step(p: argparse.ArgumentParser, kind: str) -> None:
+        p.add_argument(
+            "--step", type=float, default=1.0, help=f"{kind} step, 0.1 to 120 minutes (default 1)"
+        )
+
     sun = add_command("sun", "sun positions through one day", _cmd_sun)
     sun.add_argument("--day", type=int, required=True, help="day of year, 1 to 365")
-    sun.add_argument(
-        "--step", type=float, default=1.0, help="sample step, 0.1 to 120 minutes (default 1)"
-    )
+    add_step(sun, "sample")
     sun.add_argument("--format", choices=("json", "csv"), default="json")
 
     tilt = add_command("tilt", "tilt for one day or one month", _cmd_tilt)
@@ -286,18 +234,14 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     optimize.add_argument("--start-day", type=int, default=1, help="first day (default 1)")
     optimize.add_argument("--end-day", type=int, default=365, help="last day (default 365)")
-    optimize.add_argument(
-        "--step", type=float, default=1.0, help="integration step, 0.1 to 120 minutes (default 1)"
-    )
+    add_step(optimize, "integration")
     optimize.add_argument("--format", choices=("json", "csv"), default="json")
 
     gains = add_command(
         "gains", "annual energy of each policy against the fixed baseline", _cmd_gains
     )
     gains.add_argument("--mode", choices=("paper", "exact"), default="paper")
-    gains.add_argument(
-        "--step", type=float, default=1.0, help="integration step, 0.1 to 120 minutes (default 1)"
-    )
+    add_step(gains, "integration")
     gains.add_argument("--format", choices=("json", "csv"), default="json")
 
     chart = add_command("chart", "sun-path or tilt-curve chart data", _cmd_chart)
@@ -308,9 +252,7 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="D1,D2,...",
         help="days of year for the sun path (default: the 21st of each month)",
     )
-    chart.add_argument(
-        "--step", type=float, default=1.0, help="sample step, 0.1 to 120 minutes (default 1)"
-    )
+    add_step(chart, "sample")
     chart.add_argument(
         "--azimuth", action="store_true", help="add compass-azimuth series"
     )
@@ -337,7 +279,11 @@ def main(argv: list[str] | None = None) -> int:
     except (UnsupportedHemisphereError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    _write(text, args.out)
+    try:
+        _write(text, args.out)
+    except OSError as exc:
+        print(f"error: cannot write {args.out or 'stdout'}: {exc.strerror or exc}", file=sys.stderr)
+        return 1
     return 0
 
 

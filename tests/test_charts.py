@@ -17,18 +17,17 @@ from heliotilt import (
     sunpath_chart,
     tilt_curve,
 )
-from heliotilt.charts import (
-    chart_csv,
-    fmt_angle,
-    fmt_x,
-    render_json,
-    render_svg,
-    schedule_csv,
-    sun_csv,
-)
+from heliotilt.charts import fmt_angle, render_csv, render_json, render_svg
+from heliotilt.cli import CHART_COLUMNS, SUN_COLUMNS, main
 
 SITE = Location(32.7)
 GOLDEN = pathlib.Path(__file__).parent / "golden"
+
+
+def cli_csv(capsys, *argv):
+    """Stdout of a successful `heliotilt ... --format csv` at 32.7 N."""
+    assert main([argv[0], "--lat", "32.7", *argv[1:], "--format", "csv"]) == 0
+    return capsys.readouterr().out
 
 
 class TestChartSeries:
@@ -188,43 +187,48 @@ class TestNumberFormatting:
         assert fmt_angle(-0.0) == "0.00"
 
     def test_abscissa_compact_and_stable(self):
-        assert fmt_x(81.0) == "81"
-        assert fmt_x(12.0) == "12"
-        assert fmt_x(6.0166667) == "6.0167"
-        assert fmt_x(float(fmt_x(6.0166667))) == "6.0167"
+        def x_cells(*xs):
+            text = render_csv(CHART_COLUMNS, [("s", x, 0.0) for x in xs])
+            return [line.split(",")[1] for line in text.splitlines()[1:]]
+
+        assert x_cells(81.0, 12.0, 6.0166667) == ["81", "12", "6.0167"]
+        assert x_cells(float(x_cells(6.0166667)[0])) == ["6.0167"]
 
 
 class TestCsvRendering:
-    def test_monthly_paper_matches_golden_bytes(self):
-        table = schedule_table(SITE, "monthly", TiltMode.PAPER)
+    def test_monthly_paper_matches_golden_bytes(self, capsys):
         golden = (GOLDEN / "schedule_monthly_paper_32p7.csv").read_bytes()
-        assert schedule_csv(table).encode("utf-8") == golden
+        assert cli_csv(capsys, "schedule").encode("utf-8") == golden
 
-    def test_seasonal_paper_matches_golden_bytes(self):
-        table = schedule_table(SITE, "seasonal", TiltMode.PAPER)
+    def test_seasonal_paper_matches_golden_bytes(self, capsys):
         golden = (GOLDEN / "schedule_seasonal_paper_32p7.csv").read_bytes()
-        assert schedule_csv(table).encode("utf-8") == golden
+        text = cli_csv(capsys, "schedule", "--granularity", "seasonal")
+        assert text.encode("utf-8") == golden
 
-    def test_seasonal_paper_prints_whole_degrees(self):
-        text = schedule_csv(schedule_table(SITE, "seasonal", TiltMode.PAPER))
+    def test_seasonal_paper_prints_whole_degrees(self, capsys):
+        text = cli_csv(capsys, "schedule", "--granularity", "seasonal")
         assert text.splitlines()[1:] == ["winter,48", "spring,24", "summer,16", "fall,40"]
 
-    def test_seasonal_exact_keeps_decimals(self):
-        text = schedule_csv(schedule_table(SITE, "seasonal", TiltMode.EXACT))
+    def test_seasonal_exact_keeps_decimals(self, capsys):
+        text = cli_csv(capsys, "schedule", "--granularity", "seasonal", "--mode", "exact")
         assert text.splitlines()[1] == "winter,48.33"
 
-    def test_line_endings_are_lf_with_final_newline(self):
-        for text in (
-            schedule_csv(schedule_table(SITE, "monthly", TiltMode.PAPER)),
-            chart_csv(sunpath_chart(SITE, (81,), step_minutes=60.0)),
-            sun_csv(sun_day_rows(SITE, 81, 60.0)),
+    def test_line_endings_are_lf_with_final_newline(self, capsys):
+        for argv in (
+            ("schedule",),
+            ("chart", "--days", "81", "--step", "60"),
+            ("sun", "--day", "81", "--step", "60"),
+            ("tilt", "--day", "81"),
+            ("optimize", "--step", "60"),
+            ("gains", "--step", "60"),
         ):
+            text = cli_csv(capsys, *argv)
             assert "\r" not in text
             assert text.endswith("\n")
             assert not text.endswith("\n\n")
 
-    def test_chart_csv_round_trips(self):
-        original = chart_csv(sunpath_chart(SITE, (81, 172), step_minutes=7.0))
+    def test_chart_csv_round_trips(self, capsys):
+        original = cli_csv(capsys, "chart", "--days", "81,172", "--step", "7")
         lines = original.splitlines()
         assert lines[0] == "series,x,y"
         rebuilt: dict[str, tuple[list, list]] = {}
@@ -236,10 +240,11 @@ class TestCsvRendering:
         series = [
             ChartSeries(name, tuple(xs), tuple(ys)) for name, (xs, ys) in rebuilt.items()
         ]
-        assert chart_csv(series) == original
+        rows = [(s.name, x, y) for s in series for x, y in zip(s.x, s.y)]
+        assert render_csv(CHART_COLUMNS, rows) == original
 
     def test_sun_csv_header_and_equinox_rows(self):
-        text = sun_csv(sun_day_rows(SITE, 81, 120.0))
+        text = render_csv(SUN_COLUMNS, sun_day_rows(SITE, 81, 120.0))
         lines = text.splitlines()
         assert lines[0] == "solar_hour,elevation_deg,azimuth_deg,compass_azimuth_deg"
         assert lines[1] == "6,0.00,-90.00,90.00"

@@ -1,14 +1,78 @@
 """CLI behavior: exit codes, output bytes, schema validity, determinism."""
+import contextlib
+import io
 import json
+import math
 import pathlib
 from importlib import resources
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from heliotilt.cli import main
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
+
+# Default stdout bytes of every subcommand and format at 32.7 N with coarse
+# steps, plus the 10 N solstice sun, whose due-north noon row prints the
+# signed azimuth as -180.00
+CLI_GOLDENS = {
+    "sun_32p7_d81_s60.json": ("sun", "--lat", "32.7", "--day", "81", "--step", "60"),
+    "sun_32p7_d81_s60.csv": (
+        "sun", "--lat", "32.7", "--day", "81", "--step", "60", "--format", "csv"
+    ),
+    "sun_10_d172_s60.csv": (
+        "sun", "--lat", "10", "--day", "172", "--step", "60", "--format", "csv"
+    ),
+    "tilt_day_32p7_d81.txt": ("tilt", "--lat", "32.7", "--day", "81"),
+    "tilt_day_32p7_d81.json": (
+        "tilt", "--lat", "32.7", "--day", "81", "--format", "json"
+    ),
+    "tilt_day_32p7_d81.csv": (
+        "tilt", "--lat", "32.7", "--day", "81", "--format", "csv"
+    ),
+    "tilt_month_32p7_m7.txt": ("tilt", "--lat", "32.7", "--month", "7"),
+    "tilt_month_32p7_m7.json": (
+        "tilt", "--lat", "32.7", "--month", "7", "--format", "json"
+    ),
+    "tilt_month_32p7_m7.csv": (
+        "tilt", "--lat", "32.7", "--month", "7", "--format", "csv"
+    ),
+    "schedule_monthly_paper_32p7.json": ("schedule", "--lat", "32.7"),
+    "schedule_seasonal_paper_32p7.json": (
+        "schedule", "--lat", "32.7", "--granularity", "seasonal"
+    ),
+    "schedule_seasonal_exact_32p7.csv": (
+        "schedule", "--lat", "32.7", "--granularity", "seasonal", "--mode", "exact",
+        "--format", "csv",
+    ),
+    "optimize_32p7_s30.json": ("optimize", "--lat", "32.7", "--step", "30"),
+    "optimize_32p7_s30.csv": (
+        "optimize", "--lat", "32.7", "--step", "30", "--format", "csv"
+    ),
+    "gains_32p7_s60.json": ("gains", "--lat", "32.7", "--step", "60"),
+    "gains_32p7_s60.csv": ("gains", "--lat", "32.7", "--step", "60", "--format", "csv"),
+    "chart_sunpath_32p7_s60.json": (
+        "chart", "--lat", "32.7", "--days", "81,172", "--step", "60", "--azimuth"
+    ),
+    "chart_sunpath_32p7_s60.csv": (
+        "chart", "--lat", "32.7", "--days", "81,172", "--step", "60", "--azimuth",
+        "--format", "csv",
+    ),
+    "chart_sunpath_32p7_s60.svg": (
+        "chart", "--lat", "32.7", "--days", "81,172", "--step", "60", "--azimuth",
+        "--format", "svg",
+    ),
+    "chart_tilt_32p7.json": ("chart", "--lat", "32.7", "--kind", "tilt"),
+    "chart_tilt_32p7.csv": (
+        "chart", "--lat", "32.7", "--kind", "tilt", "--format", "csv"
+    ),
+    "chart_tilt_32p7.svg": (
+        "chart", "--lat", "32.7", "--kind", "tilt", "--format", "svg"
+    ),
+}
 
 
 @pytest.fixture(scope="module")
@@ -17,6 +81,11 @@ def schema():
         resources.files("heliotilt") / "schemas" / "output.schema.json"
     ).read_text(encoding="utf-8")
     return json.loads(text)
+
+
+@pytest.fixture(scope="module")
+def validator(schema):
+    return jsonschema.validators.validator_for(schema)(schema)
 
 
 def run(capsys, *argv):
@@ -247,9 +316,11 @@ class TestChartCommand:
         ]
 
     def test_bad_day_list_is_usage_error(self, capsys):
-        code, _, err = run(capsys, "chart", "--lat", "32.7", "--days", "21,x")
-        assert code == 2
-        assert "usage error" in err
+        for days in ("21,x", ""):
+            code, out, err = run(capsys, "chart", "--lat", "32.7", "--days", days)
+            assert code == 2
+            assert out == ""
+            assert "usage error" in err
 
 
 class TestErrorHandling:
@@ -303,6 +374,71 @@ class TestOutputFile:
         assert code2 == 0
         assert captured.out == ""
         assert target.read_bytes() == out.encode("utf-8")
+
+    @pytest.mark.parametrize("target", ["missing/x.txt", "."])
+    def test_unwritable_out_is_one_error_line(self, capsys, tmp_path, target):
+        path = tmp_path / target
+        code, out, err = run(
+            capsys, "tilt", "--lat", "32.7", "--day", "81", "--out", str(path)
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: cannot write {path}: ")
+        assert err.count("\n") == 1
+
+
+def _no_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+_BAD_STEPS = st.sampled_from((0.0, -5.0, math.inf, -math.inf, math.nan))
+
+
+@st.composite
+def json_argv(draw):
+    """A JSON request of any subcommand; numbers go as --flag=value, so a
+    negative one is never taken for a flag."""
+    command = draw(st.sampled_from(("sun", "tilt", "schedule", "optimize", "gains", "chart")))
+    argv = [command, f"--lat={draw(st.floats(-95.0, 95.0))!r}"]
+    day = st.integers(-2, 368)
+    if command in ("sun", "tilt"):
+        argv.append(f"--day={draw(day)}")
+    elif command == "chart":
+        argv.append(f"--days={draw(day)}")
+    elif command == "optimize":
+        argv += [f"--start-day={draw(day)}", f"--end-day={draw(day)}"]
+    if command in ("sun", "chart"):
+        argv.append(f"--step={draw(st.one_of(st.floats(0.05, 150.0), _BAD_STEPS))!r}")
+    elif command in ("optimize", "gains"):
+        # steps of 30 minutes and up keep an optimize or a year of gains fast
+        argv.append(f"--step={draw(st.one_of(st.floats(30.0, 150.0), _BAD_STEPS))!r}")
+    return argv + ["--format", "json"]
+
+
+class TestJsonProperty:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(argv=json_argv())
+    def test_valid_finite_json_or_one_error_line(self, validator, argv):
+        # redirected by hand: capsys is not reset between hypothesis examples
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        out, err = out.getvalue(), err.getvalue()
+        if code == 0:
+            assert err == ""
+            validator.validate(json.loads(out, parse_constant=_no_constant))
+        else:
+            assert code in (1, 2)
+            assert out == ""
+            assert err.count("\n") == 1 and err.startswith(("error: ", "usage error: "))
+
+
+class TestGoldenBytes:
+    @pytest.mark.parametrize("name", sorted(CLI_GOLDENS))
+    def test_output_matches_golden(self, capsys, name):
+        code, out, err = run(capsys, *CLI_GOLDENS[name])
+        assert (code, err) == (0, "")
+        assert out.encode("utf-8") == (GOLDEN / "cli" / name).read_bytes()
 
 
 class TestDeterminism:
