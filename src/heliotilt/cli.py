@@ -1,8 +1,8 @@
 """Command line interface.
 
 Subcommands cover sun positions through a day, single tilt lookups,
-monthly and seasonal schedule tables, the brute-force fixed-tilt
-optimum, annual gain reports, and chart emission. Output goes to stdout
+monthly and seasonal schedule tables, the best fixed tilt over a day
+range, annual gain reports, and chart emission. Output goes to stdout
 or --out as json or csv (svg for charts; the bare tilt lookup defaults
 to plain text); each subcommand builds its rows once and prints both
 formats from one column spec. Usage mistakes exit 2; domain errors such
@@ -230,7 +230,7 @@ def _build_parser() -> argparse.ArgumentParser:
     schedule.add_argument("--format", choices=("json", "csv"), default="json")
 
     optimize = add_command(
-        "optimize", "brute-force best fixed tilt over a day range", _cmd_optimize
+        "optimize", "best fixed tilt over a day range", _cmd_optimize
     )
     optimize.add_argument("--start-day", type=int, default=1, help="first day (default 1)")
     optimize.add_argument("--end-day", type=int, default=365, help="last day (default 365)")

@@ -102,7 +102,7 @@ def noon_elevation(loc: Location, day: int, *, strict: bool = False) -> float:
             "strict noon elevation requires |latitude| < "
             f"{STRICT_LATITUDE_LIMIT_DEG} deg, got {loc.latitude_deg}"
         )
-    return 90.0 - (loc.latitude_deg - declination_exact(day))
+    return 90.0 - noon_zenith(loc, day)
 
 
 def noon_elevation_folded(loc: Location, day: int) -> float:
@@ -122,7 +122,7 @@ def noon_zenith(loc: Location, day: int) -> float:
 
 def _up_south(sin_phi, cos_phi, sin_delta, cos_delta, cos_omega):
     """The spherical transform: sin(elev) and cos(elev) cos(az) from the sines and
-    cosines of latitude, declination and hour angle (east is cos(delta) sin(omega))."""
+    cosines of latitude, declination and hour angle (west is cos(delta) sin(omega))."""
     up = sin_phi * sin_delta + cos_phi * cos_delta * cos_omega
     return up, cos_omega * cos_delta * sin_phi - sin_delta * cos_phi
 
@@ -142,6 +142,11 @@ def _elevation_azimuth(latitude_deg, declination_deg, omega_deg):
     return elevation, azimuth
 
 
+def _check_hour_angle(hour_angle_deg: float) -> None:
+    if not -180.0 <= hour_angle_deg <= 180.0:
+        raise ValueError(f"hour angle must be in [-180, 180] degrees, got {hour_angle_deg}")
+
+
 def sun_position(loc: Location, day: int, hour_angle_deg: float) -> SolarAngles:
     """Sun angles at an hour angle omega (15 deg per hour, negative before noon).
 
@@ -153,10 +158,7 @@ def sun_position(loc: Location, day: int, hour_angle_deg: float) -> SolarAngles:
     a negative elevation for the caller to filter.
     """
     d = _check_day(day)
-    if not -180.0 <= hour_angle_deg <= 180.0:
-        raise ValueError(
-            f"hour angle must be in [-180, 180] degrees, got {hour_angle_deg}"
-        )
+    _check_hour_angle(hour_angle_deg)
     decl = declination_exact(d)
     elevation, azimuth = _elevation_azimuth(loc.latitude_deg, decl, hour_angle_deg)
     elevation = float(elevation)

@@ -10,7 +10,7 @@ ground-reflected terms, so the policy comparison is purely geometric.
 Energy is the trapezoid rule over the hour angle from sunrise to sunset,
 in Wh per m^2, and every figure is one weighted sum: _sample_days samples
 a day range once, _energy adds DNI * trapezoid weight * max(0, cosine),
-and _sweep gives that sum at many tilts at once for the optimizer.
+and _best_tilt finds the tilt that maximises that sum.
 """
 from __future__ import annotations
 
@@ -23,10 +23,10 @@ import numpy as np
 from .geometry import (
     Location,
     _check_day,
+    _check_hour_angle,
     _check_step,
     _up_south,
     declination_exact,
-    sun_position,
     sunrise_hour_angle,
 )
 from .schedule import TiltMode, TiltPolicy, _check_tilt, monthly_schedule, seasonal_schedule
@@ -34,10 +34,6 @@ from .schedule import TiltMode, TiltPolicy, _check_tilt, monthly_schedule, seaso
 TRANSMITTANCE = 0.7
 AIR_MASS_EXPONENT = 0.678
 ZENITH_CAP_DEG = 89.0
-
-# brute-force sweep resolution for optimize_fixed_tilt
-COARSE_STEP_DEG = 0.5
-FINE_STEP_DEG = 0.05
 
 FULL_YEAR = (1, 365)
 _BLOCK_SAMPLES = 1 << 14  # a grid block holds the days that start in one such window
@@ -115,7 +111,8 @@ def incidence_cosine(
     """Cosine of the angle between the sun and the panel normal.
 
     cos(theta) = cos(elev) cos(az - panel_az) sin(tilt) + sin(elev) cos(tilt),
-    with the panel azimuth south-referenced like the solar azimuth. A raw
+    with the panel azimuth south-referenced like the solar azimuth, from
+    the _up_south terms that the energy grid uses too. A raw
     geometric value in [-1, 1]: negative means the sun is behind the panel
     plane, and a sub-horizon sun still evaluates, so energy callers must
     floor at zero and mask night themselves. At solar noon with a south
@@ -125,11 +122,14 @@ def incidence_cosine(
         raise ValueError(f"tilt must be in [-90, 90] degrees, got {tilt_deg}")
     if not math.isfinite(panel_azimuth_deg):
         raise ValueError(f"panel azimuth must be finite degrees, got {panel_azimuth_deg}")
-    angles = sun_position(loc, day, hour_angle_deg)
-    elev = math.radians(angles.elevation_deg)
-    az = math.radians(angles.azimuth_deg - panel_azimuth_deg)
-    tilt = math.radians(tilt_deg)
-    return math.cos(elev) * math.cos(az) * math.sin(tilt) + math.sin(elev) * math.cos(tilt)
+    d = _check_day(day)
+    _check_hour_angle(hour_angle_deg)
+    phi, delta, omega = map(math.radians, (loc.latitude_deg, declination_exact(d), hour_angle_deg))
+    sin_d, cos_d = math.sin(delta), math.cos(delta)
+    up, south = _up_south(math.sin(phi), math.cos(phi), sin_d, cos_d, math.cos(omega))
+    panel, tilt = math.radians(panel_azimuth_deg), math.radians(tilt_deg)
+    facing = south * math.cos(panel) + cos_d * math.sin(omega) * math.sin(panel)
+    return facing * math.sin(tilt) + up * math.cos(tilt)
 
 
 class _Grid(NamedTuple):
@@ -185,30 +185,35 @@ def _energy(grid: _Grid, tilt_deg) -> float:
     return float(grid.weight @ np.maximum(cos_theta, 0.0, out=cos_theta))
 
 
-def _sweep(grid: _Grid):
-    """_energy at many tilts in [0, 90] from one sort; returns tilts_deg -> energies.
+def _best_tilt(grid: _Grid) -> float:
+    """The tilt in [0, 90] deg where _energy peaks, the lowest one on ties.
 
     In [0, 90] only samples with horiz < 0 (sun north of the east-west line)
-    are clipped, once the tilt passes atan2(vert, -horiz), so E = sin(tilt)
-    (H - H_cut) + cos(tilt) (V - V_cut) from prefix sums in cut-off order.
+    are clipped, once the tilt passes atan2(vert, -horiz). Between sorted
+    cut-offs E = A sin(tilt) + B cos(tilt), A = H - H_cut and B = V - V_cut
+    from prefix sums in cut-off order. E is continuous, so its maximum is the
+    best of the peaks atan2(A, B), each clipped into its segment (so they
+    rise with it) and into [0, 90]: Klein's lit interval (Solar Energy 19:325).
     """
     behind = grid.horiz < 0.0
     cut = np.arctan2(grid.vert[behind], -grid.horiz[behind])
     order = np.argsort(cut)
     cut.sort()
-    prefix = np.zeros((2, cut.size + 1))  # H_cut and V_cut
-    for row, coefficient in zip(prefix, (grid.horiz, grid.vert)):
+    ab = np.zeros((2, cut.size + 1))  # H_cut and V_cut, then A and B
+    for row, coefficient in zip(ab, (grid.horiz, grid.vert)):
         weighted = grid.weight[behind]
         weighted *= coefficient[behind]
         np.cumsum(weighted[order], out=row[1:])
-    totals = grid.weight @ grid.horiz, grid.weight @ grid.vert
-
-    def energies(tilts_deg):
-        tilt = np.radians(tilts_deg)
-        h_cut, v_cut = prefix[:, np.searchsorted(cut, tilt)]
-        return np.sin(tilt) * (totals[0] - h_cut) + np.cos(tilt) * (totals[1] - v_cut)
-
-    return energies
+        np.subtract(grid.weight @ coefficient, row, out=row)
+    del behind, order, weighted  # so the peak rows fit under the sort's high-water mark
+    peak = np.arctan2(*ab)
+    np.maximum(peak[1:], cut, out=peak[1:])  # segment k spans [cut[k-1], cut[k]]
+    np.minimum(peak[:-1], cut, out=peak[:-1])
+    del cut
+    np.clip(peak, 0.0, np.pi / 2.0, out=peak)
+    ab[0] *= np.sin(peak)
+    ab[1] *= np.cos(peak)
+    return float(np.degrees(peak[np.argmax(np.add(*ab, out=ab[0]))]))
 
 
 def daily_insolation(
@@ -254,20 +259,10 @@ def optimize_fixed_tilt(
     period: tuple[int, int] = FULL_YEAR,
     model: IrradianceModel | None = None,
 ) -> OptimalTilt:
-    """Best single fixed tilt over a day range, by brute force.
-
-    Sweeps [0, 90] deg at 0.5 deg, then refines at 0.05 deg in a 0.5 deg
-    window around the coarse winner. Ties break toward the lower tilt.
-    The panel is assumed south-facing, whatever the latitude.
-    """
+    """Best single fixed tilt over a day range, exact for the sampled model
+    (_best_tilt); ties go to the lower tilt. The panel faces south at any latitude."""
     grid = _sample_days(loc, _check_period(period), model)
-    energies = _sweep(grid)
-    coarse = np.linspace(0.0, 90.0, int(round(90.0 / COARSE_STEP_DEG)) + 1)
-    top = float(coarse[np.argmax(energies(coarse))])
-    lo, hi = max(0.0, top - COARSE_STEP_DEG), min(90.0, top + COARSE_STEP_DEG)
-    fine = lo + FINE_STEP_DEG * np.arange(int(round((hi - lo) / FINE_STEP_DEG)) + 1)
-    tilt = float(fine[np.argmax(energies(fine))])
-    del energies  # frees the sorted table before _energy's two grid-length rows
+    tilt = _best_tilt(grid)
     return OptimalTilt(tilt, _energy(grid, tilt))
 
 
