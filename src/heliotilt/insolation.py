@@ -185,15 +185,13 @@ def _energy(grid: _Grid, tilt_deg) -> float:
     return float(grid.weight @ np.maximum(cos_theta, 0.0, out=cos_theta))
 
 
-def _best_tilt(grid: _Grid) -> float:
-    """The tilt in [0, 90] deg where _energy peaks, the lowest one on ties.
+def _segments(grid: _Grid) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted cut-offs in radians, and A and B of each segment between them.
 
     In [0, 90] only samples with horiz < 0 (sun north of the east-west line)
     are clipped, once the tilt passes atan2(vert, -horiz). Between sorted
     cut-offs E = A sin(tilt) + B cos(tilt), A = H - H_cut and B = V - V_cut
-    from prefix sums in cut-off order. E is continuous, so its maximum is the
-    best of the peaks atan2(A, B), each clipped into its segment (so they
-    rise with it) and into [0, 90]: Klein's lit interval (Solar Energy 19:325).
+    from prefix sums in cut-off order; segment k spans [cut[k-1], cut[k]].
     """
     behind = grid.horiz < 0.0
     cut = np.arctan2(grid.vert[behind], -grid.horiz[behind])
@@ -205,7 +203,17 @@ def _best_tilt(grid: _Grid) -> float:
         weighted *= coefficient[behind]
         np.cumsum(weighted[order], out=row[1:])
         np.subtract(grid.weight @ coefficient, row, out=row)
-    del behind, order, weighted  # so the peak rows fit under the sort's high-water mark
+    return cut, ab  # mask, order and weights freed, so the peak rows fit under the sort's peak
+
+
+def _best_tilt(grid: _Grid) -> float:
+    """The tilt in [0, 90] deg where _energy peaks, the lowest one on ties.
+
+    E is continuous, so its maximum is the best of the segment peaks
+    atan2(A, B) (_segments), each clipped into its segment (so they rise
+    with it) and into [0, 90]: Klein's lit interval (Solar Energy 19:325).
+    """
+    cut, ab = _segments(grid)
     peak = np.arctan2(*ab)
     np.maximum(peak[1:], cut, out=peak[1:])  # segment k spans [cut[k-1], cut[k]]
     np.minimum(peak[:-1], cut, out=peak[:-1])

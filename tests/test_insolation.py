@@ -29,7 +29,7 @@ from heliotilt import (
     sun_position,
     sunrise_hour_angle,
 )
-from heliotilt.insolation import _BLOCK_SAMPLES, _energy, _Grid, _sample_days
+from heliotilt.insolation import _BLOCK_SAMPLES, _energy, _Grid, _sample_days, _segments
 
 SITE = Location(32.7)
 FAST = IrradianceModel(time_step_minutes=5.0)
@@ -431,7 +431,24 @@ BLOCK_CROSSING = (60, 200)  # a lit day starts in a second grid block, at every 
 
 
 class TestSweep:
-    """_energy swept over tilt grids never beats the optimizer's answer."""
+    """The optimizer's segment table and its answer, checked against _energy."""
+
+    @pytest.mark.parametrize("lat", SWEEP_LATITUDES)
+    @pytest.mark.parametrize("period", [(1, 365), (172, 172), (355, 355), BLOCK_CROSSING])
+    def test_equals_the_kernel_at_every_half_degree(self, lat, period):
+        # A sin(tilt) + B cos(tilt) of the segment holding each tilt
+        grid = _sample_days(Location(lat), period, FAST)
+        if period == BLOCK_CROSSING:  # a lit day starts in the second block
+            starts = np.cumsum(grid.counts) - grid.counts
+            assert np.any(starts[grid.counts > 0] >= _BLOCK_SAMPLES)
+        tilts = np.linspace(0.0, 90.0, 181)
+        cut, (a, b) = _segments(grid)
+        k = np.searchsorted(cut, np.radians(tilts))
+        swept = a[k] * np.sin(np.radians(tilts)) + b[k] * np.cos(np.radians(tilts))
+        # an absolute bound: the energy is exactly 0 at 0N, day 172, tilt 90
+        scale = float(grid.weight @ (np.abs(grid.horiz) + np.abs(grid.vert)))
+        for tilt, energy in zip(tilts, swept):
+            assert abs(energy - _energy(grid, tilt)) <= 1e-12 * scale
 
     @pytest.mark.parametrize("lat", SWEEP_LATITUDES)
     @pytest.mark.parametrize(
