@@ -6,116 +6,75 @@ position on a 365-day solar-time year. On top of it sit the tilt rules
 integrator, an exact fixed-tilt optimizer, and gain reports
 comparing adjustment policies. A CLI (`heliotilt`) exposes the same
 operations as json, csv, and svg.
+
+Each public name is imported from its module on first use, so code that
+needs only geometry, schedules or the tilt chart never imports numpy.
 """
-from .geometry import (
-    DAYS_PER_YEAR,
-    EARTH_TILT_DEG,
-    EQUINOX_DAY,
-    STRICT_LATITUDE_LIMIT_DEG,
-    Location,
-    SolarAngles,
-    compass_azimuth,
-    declination_exact,
-    declination_simplified,
-    noon_elevation,
-    noon_elevation_folded,
-    noon_zenith,
-    sun_position,
-    sunrise_hour_angle,
-)
-from .schedule import (
-    EXACT_OFFSETS_DEG,
-    MONTH_NAMES,
-    PAPER_OFFSETS_DEG,
-    SEASON_NAMES,
-    MonthlySchedule,
-    SeasonalSchedule,
-    TiltMode,
-    TiltPolicy,
-    TiltValue,
-    UnsupportedHemisphereError,
-    daily_tilt,
-    daily_tilt_details,
-    month_of_day,
-    monthly_schedule,
-    offsets_for,
-    season_of_day,
-    seasonal_schedule,
-    tilt_extremes,
-)
-from .insolation import (
-    GainReport,
-    InsolationResult,
-    IrradianceModel,
-    OptimalTilt,
-    PolicyGain,
-    annual_insolation,
-    daily_insolation,
-    gain_report,
-    incidence_cosine,
-    optimize_fixed_tilt,
-)
-from .charts import (
-    ChartSeries,
-    DEFAULT_CHART_DAYS,
-    ScheduleTable,
-    schedule_table,
-    sun_day_rows,
-    sunpath_chart,
-    tilt_curve,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "DAYS_PER_YEAR",
-    "EARTH_TILT_DEG",
-    "EQUINOX_DAY",
-    "STRICT_LATITUDE_LIMIT_DEG",
-    "Location",
-    "SolarAngles",
-    "compass_azimuth",
-    "declination_exact",
-    "declination_simplified",
-    "noon_elevation",
-    "noon_elevation_folded",
-    "noon_zenith",
-    "sun_position",
-    "sunrise_hour_angle",
-    "EXACT_OFFSETS_DEG",
-    "MONTH_NAMES",
-    "PAPER_OFFSETS_DEG",
-    "SEASON_NAMES",
-    "MonthlySchedule",
-    "SeasonalSchedule",
-    "TiltMode",
-    "TiltPolicy",
-    "TiltValue",
-    "UnsupportedHemisphereError",
-    "daily_tilt",
-    "daily_tilt_details",
-    "month_of_day",
-    "monthly_schedule",
-    "offsets_for",
-    "season_of_day",
-    "seasonal_schedule",
-    "tilt_extremes",
-    "GainReport",
-    "InsolationResult",
-    "IrradianceModel",
-    "OptimalTilt",
-    "PolicyGain",
-    "annual_insolation",
-    "daily_insolation",
-    "gain_report",
-    "incidence_cosine",
-    "optimize_fixed_tilt",
-    "ChartSeries",
-    "DEFAULT_CHART_DAYS",
-    "ScheduleTable",
-    "schedule_table",
-    "sun_day_rows",
-    "sunpath_chart",
-    "tilt_curve",
-    "__version__",
-]
+# Each public name and the module that defines it, in __all__ order.
+_EXPORTS = {
+    "DAYS_PER_YEAR": "geometry",
+    "EARTH_TILT_DEG": "geometry",
+    "EQUINOX_DAY": "geometry",
+    "STRICT_LATITUDE_LIMIT_DEG": "geometry",
+    "Location": "geometry",
+    "SolarAngles": "geometry",
+    "compass_azimuth": "geometry",
+    "declination_exact": "geometry",
+    "declination_simplified": "geometry",
+    "noon_elevation": "geometry",
+    "noon_elevation_folded": "geometry",
+    "noon_zenith": "geometry",
+    "sun_position": "geometry",
+    "sunrise_hour_angle": "geometry",
+    "EXACT_OFFSETS_DEG": "schedule",
+    "MONTH_NAMES": "schedule",
+    "PAPER_OFFSETS_DEG": "schedule",
+    "SEASON_NAMES": "schedule",
+    "MonthlySchedule": "schedule",
+    "SeasonalSchedule": "schedule",
+    "TiltMode": "schedule",
+    "TiltPolicy": "schedule",
+    "TiltValue": "schedule",
+    "UnsupportedHemisphereError": "schedule",
+    "daily_tilt": "schedule",
+    "daily_tilt_details": "schedule",
+    "month_of_day": "schedule",
+    "monthly_schedule": "schedule",
+    "offsets_for": "schedule",
+    "season_of_day": "schedule",
+    "seasonal_schedule": "schedule",
+    "tilt_extremes": "schedule",
+    "GainReport": "insolation",
+    "InsolationResult": "insolation",
+    "IrradianceModel": "insolation",
+    "OptimalTilt": "insolation",
+    "PolicyGain": "insolation",
+    "annual_insolation": "insolation",
+    "daily_insolation": "insolation",
+    "gain_report": "insolation",
+    "incidence_cosine": "insolation",
+    "optimize_fixed_tilt": "insolation",
+    "ChartSeries": "charts",
+    "DEFAULT_CHART_DAYS": "charts",
+    "ScheduleTable": "charts",
+    "schedule_table": "charts",
+    "sun_day_rows": "charts",
+    "sunpath_chart": "charts",
+    "tilt_curve": "charts",
+}
+
+__all__ = [*_EXPORTS, "__version__"]
+
+
+def __getattr__(name: str):
+    """Import a public name's module on first use and keep the name here (PEP 562)."""
+    try:
+        module = _EXPORTS[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = globals()[name] = getattr(import_module(f".{module}", __name__), name)
+    return value

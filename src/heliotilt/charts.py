@@ -13,13 +13,11 @@ import json
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .geometry import (
     Location,
     _check_day,
     _check_step,
-    _elevation_azimuth,
+    _up_south,
     compass_azimuth,
     declination_exact,
 )
@@ -87,6 +85,8 @@ def sunpath_chart(
     With include_azimuth, a companion compass-azimuth series follows
     each elevation series. Polar-night days come back empty.
     """
+    import numpy as np  # the one chart that needs arrays
+
     if days is None:
         days = DEFAULT_CHART_DAYS
     days = tuple(_check_day(d) for d in days)
@@ -97,9 +97,15 @@ def sunpath_chart(
     half = int(math.floor(12.0 * 60.0 / step_minutes))
     offsets = np.arange(-half, half + 1) * (step_minutes / 60.0)
     hours = 12.0 + offsets
-    omega = offsets * 15.0
+    phi = np.radians(loc.latitude_deg)
+    sin_phi, cos_phi = np.sin(phi), np.cos(phi)
+    omega = np.radians(offsets * 15.0)
+    cos_omega, sin_omega = np.cos(omega), np.sin(omega)
     for day in days:
-        elev, az = _elevation_azimuth(loc.latitude_deg, declination_exact(day), omega)
+        delta = np.radians(declination_exact(day))
+        sin_up, south = _up_south(sin_phi, cos_phi, np.sin(delta), np.cos(delta), cos_omega)
+        elev = np.degrees(np.arcsin(np.clip(sin_up, -1.0, 1.0)))
+        az = np.degrees(np.arctan2(np.cos(delta) * sin_omega, south))
         up = elev >= 0.0
         xs = tuple(float(h) for h in hours[up])
         base = {"day": day, "latitude_deg": loc.latitude_deg, "units": "degrees"}

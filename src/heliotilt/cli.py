@@ -31,7 +31,6 @@ from .charts import (
     tilt_curve,
 )
 from .geometry import Location
-from .insolation import IrradianceModel, gain_report, optimize_fixed_tilt
 from .schedule import (
     TiltMode,
     UnsupportedHemisphereError,
@@ -121,6 +120,9 @@ def _cmd_schedule(args: argparse.Namespace) -> str:
 
 
 def _cmd_optimize(args: argparse.Namespace) -> str:
+    # imported here, not at the top, so tilt and schedule never load numpy
+    from .insolation import IrradianceModel, optimize_fixed_tilt
+
     model = IrradianceModel(time_step_minutes=args.step)
     period = (args.start_day, args.end_day)
     result = optimize_fixed_tilt(Location(args.lat), period, model)
@@ -128,6 +130,8 @@ def _cmd_optimize(args: argparse.Namespace) -> str:
 
 
 def _cmd_gains(args: argparse.Namespace) -> str:
+    from .insolation import IrradianceModel, gain_report
+
     model = IrradianceModel(time_step_minutes=args.step)
     report = gain_report(Location(args.lat), model, TiltMode(args.mode))
     rows = [(e.policy, e.energy_wh_m2, e.gain_percent)

@@ -5,13 +5,15 @@ latitude minus declination, and intra-day position from the standard
 spherical transform on the hour angle. The year is a fixed 365 days
 with no leap handling, and every timestamp is local solar time, so
 there is no equation-of-time or longitude correction anywhere.
+
+Everything here is scalar `math`. _up_south is plain arithmetic, so the
+insolation grid and the sun-path chart put numpy arrays through the
+same transform.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 EARTH_TILT_DEG = 23.45
 DAYS_PER_YEAR = 365
@@ -127,46 +129,46 @@ def _up_south(sin_phi, cos_phi, sin_delta, cos_delta, cos_omega):
     return up, cos_omega * cos_delta * sin_phi - sin_delta * cos_phi
 
 
-def _elevation_azimuth(latitude_deg, declination_deg, omega_deg):
-    """Elevation and south-referenced azimuth for scalar or array hour angles.
-
-    The angles of _up_south, for sun_position and the charts. Inputs in
-    degrees; omega may be an ndarray. Returns (elevation_deg, azimuth_deg).
-    """
-    phi = np.radians(latitude_deg)
-    delta = np.radians(declination_deg)
-    omega = np.radians(omega_deg)
-    up, south = _up_south(np.sin(phi), np.cos(phi), np.sin(delta), np.cos(delta), np.cos(omega))
-    elevation = np.degrees(np.arcsin(np.clip(up, -1.0, 1.0)))
-    azimuth = np.degrees(np.arctan2(np.cos(delta) * np.sin(omega), south))
-    return elevation, azimuth
-
-
 def _check_hour_angle(hour_angle_deg: float) -> None:
     if not -180.0 <= hour_angle_deg <= 180.0:
         raise ValueError(f"hour angle must be in [-180, 180] degrees, got {hour_angle_deg}")
+
+
+def _sun_vector(
+    loc: Location, day: int, hour_angle_deg: float
+) -> tuple[float, float, float, float]:
+    """Checked (declination_deg, up, south, west) of the sun at an hour angle.
+
+    up, south and west are the sun's unit vector in the local horizon
+    frame: _up_south, and west = cos(delta) sin(omega).
+    """
+    d = _check_day(day)
+    _check_hour_angle(hour_angle_deg)
+    decl = declination_exact(d)
+    phi, delta, omega = map(math.radians, (loc.latitude_deg, decl, hour_angle_deg))
+    cos_d = math.cos(delta)
+    up, south = _up_south(math.sin(phi), math.cos(phi), math.sin(delta), cos_d, math.cos(omega))
+    return decl, up, south, cos_d * math.sin(omega)
 
 
 def sun_position(loc: Location, day: int, hour_angle_deg: float) -> SolarAngles:
     """Sun angles at an hour angle omega (15 deg per hour, negative before noon).
 
     Elevation follows sin(alpha) = sin(phi) sin(delta) + cos(phi) cos(delta)
-    cos(omega); azimuth comes from an atan2 form whose sign tracks omega, so
-    no quadrant fixups are needed. At omega = 0 this reduces to the noon
-    elevation with azimuth 0 (or the folded elevation with azimuth 180 when
-    the noon sun passes poleward of the zenith). Sub-horizon instants return
-    a negative elevation for the caller to filter.
+    cos(omega); azimuth is atan2(west, south) of the _sun_vector terms, whose
+    sign tracks omega, so no quadrant fixups are needed. At omega = 0 this
+    reduces to the noon elevation with azimuth 0 (or the folded elevation
+    with azimuth 180 when the noon sun passes poleward of the zenith).
+    Sub-horizon instants return a negative elevation for the caller to
+    filter. Scalar math throughout, no numpy.
     """
-    d = _check_day(day)
-    _check_hour_angle(hour_angle_deg)
-    decl = declination_exact(d)
-    elevation, azimuth = _elevation_azimuth(loc.latitude_deg, decl, hour_angle_deg)
-    elevation = float(elevation)
+    decl, up, south, west = _sun_vector(loc, day, hour_angle_deg)
+    elevation = math.degrees(math.asin(min(max(up, -1.0), 1.0)))
     return SolarAngles(
         declination_deg=decl,
         elevation_deg=elevation,
         zenith_deg=90.0 - elevation,
-        azimuth_deg=float(azimuth),
+        azimuth_deg=math.degrees(math.atan2(west, south)),
     )
 
 

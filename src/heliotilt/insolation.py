@@ -23,8 +23,8 @@ import numpy as np
 from .geometry import (
     Location,
     _check_day,
-    _check_hour_angle,
     _check_step,
+    _sun_vector,
     _up_south,
     declination_exact,
     sunrise_hour_angle,
@@ -112,7 +112,7 @@ def incidence_cosine(
 
     cos(theta) = cos(elev) cos(az - panel_az) sin(tilt) + sin(elev) cos(tilt),
     with the panel azimuth south-referenced like the solar azimuth, from
-    the _up_south terms that the energy grid uses too. A raw
+    the _sun_vector terms that sun_position uses too. A raw
     geometric value in [-1, 1]: negative means the sun is behind the panel
     plane, and a sub-horizon sun still evaluates, so energy callers must
     floor at zero and mask night themselves. At solar noon with a south
@@ -122,13 +122,9 @@ def incidence_cosine(
         raise ValueError(f"tilt must be in [-90, 90] degrees, got {tilt_deg}")
     if not math.isfinite(panel_azimuth_deg):
         raise ValueError(f"panel azimuth must be finite degrees, got {panel_azimuth_deg}")
-    d = _check_day(day)
-    _check_hour_angle(hour_angle_deg)
-    phi, delta, omega = map(math.radians, (loc.latitude_deg, declination_exact(d), hour_angle_deg))
-    sin_d, cos_d = math.sin(delta), math.cos(delta)
-    up, south = _up_south(math.sin(phi), math.cos(phi), sin_d, cos_d, math.cos(omega))
+    _, up, south, west = _sun_vector(loc, day, hour_angle_deg)
     panel, tilt = math.radians(panel_azimuth_deg), math.radians(tilt_deg)
-    facing = south * math.cos(panel) + cos_d * math.sin(omega) * math.sin(panel)
+    facing = south * math.cos(panel) + west * math.sin(panel)
     return facing * math.sin(tilt) + up * math.cos(tilt)
 
 

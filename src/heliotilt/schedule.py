@@ -18,6 +18,7 @@ schedule entry point raises UnsupportedHemisphereError for lat <= 0.
 """
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -48,7 +49,6 @@ MONTH_NAMES = (
     "January", "February", "March", "April", "May", "June",
     "July", "August", "September", "October", "November", "December",
 )
-MONTH_LENGTHS = (31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31)
 # day of year before the 1st of each month, 365-day year
 _CUM_DAYS = (0, 31, 59, 90, 120, 151, 181, 212, 243, 273, 304, 334)
 _DAYS = range(1, DAYS_PER_YEAR + 1)
@@ -77,11 +77,7 @@ def offsets_for(mode: TiltMode) -> tuple[float, ...]:
 
 def month_of_day(day: int) -> int:
     """Month number (1..12) containing a day of the 365-day year."""
-    d = _check_day(day)
-    for month in range(12, 0, -1):
-        if d > _CUM_DAYS[month - 1]:
-            return month
-    raise AssertionError("unreachable")
+    return bisect.bisect_left(_CUM_DAYS, _check_day(day))
 
 
 def season_of_day(day: int) -> int:
@@ -141,13 +137,11 @@ def daily_tilt(loc: Location, day: int, *, simplified: bool = False) -> float:
 def tilt_extremes(loc: Location, mode: TiltMode = TiltMode.PAPER) -> tuple[float, float]:
     """(min, max) tilt a monthly schedule reaches at this latitude.
 
-    Latitude plus the smallest and largest offsets of the mode, clamped
-    to [0, 90]. Paper mode's minimum sits 1 deg below exact mode's
-    because of the July asymmetry.
+    The extremes of monthly_schedule's tilts. Paper mode's minimum sits
+    1 deg below exact mode's because of the July asymmetry.
     """
-    phi = _require_northern(loc)
-    offsets = offsets_for(mode)
-    return (_clamp_tilt(phi + min(offsets)), _clamp_tilt(phi + max(offsets)))
+    betas = monthly_schedule(loc, mode).betas_deg
+    return (min(betas), max(betas))
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,10 @@ import contextlib
 import io
 import json
 import math
+import os
 import pathlib
+import subprocess
+import sys
 from importlib import resources
 
 import jsonschema
@@ -11,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import heliotilt
 from heliotilt.cli import main
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -456,3 +460,39 @@ class TestDeterminism:
         code2, out2, _ = run(capsys, *argv)
         assert code1 == code2 == 0
         assert out1 == out2
+
+
+# Runs the CLI as `python -m heliotilt.cli` does, then reports on stderr's
+# last line whether numpy was imported
+_NUMPY_PROBE = """
+import runpy, sys
+try:
+    runpy.run_module("heliotilt.cli", run_name="__main__", alter_sys=True)
+finally:
+    print("numpy" in sys.modules, file=sys.stderr)
+"""
+
+
+class TestNumpyFreePaths:
+    @pytest.mark.parametrize(
+        "argv, code, numpy_loaded",
+        [
+            (("tilt", "--lat", "32.7", "--day", "81"), 0, False),
+            (("tilt", "--lat", "32.7", "--month", "7", "--format", "json"), 0, False),
+            (("schedule", "--lat", "32.7"), 0, False),
+            (("schedule", "--lat", "32.7", "--granularity", "seasonal", "--format", "csv"), 0,
+             False),
+            (("chart", "--lat", "32.7", "--kind", "tilt"), 0, False),
+            (("tilt", "--lat", "32.7"), 2, False),
+            (("schedule", "--lat", "-10"), 1, False),
+            (("sun", "--lat", "32.7", "--day", "81", "--step", "60"), 0, True),
+        ],
+    )
+    def test_numpy_imported_only_for_arrays(self, argv, code, numpy_loaded):
+        src = str(pathlib.Path(heliotilt.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        proc = subprocess.run([sys.executable, "-c", _NUMPY_PROBE, *argv], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == code, proc.stderr
+        assert proc.stderr.splitlines()[-1] == str(numpy_loaded)
