@@ -7,8 +7,7 @@ integrator, an exact fixed-tilt optimizer, and gain reports
 comparing adjustment policies. A CLI (`heliotilt`) exposes the same
 operations as json, csv, and svg.
 
-Each public name is imported from its module on first use, so code that
-needs only geometry, schedules or the tilt chart never imports numpy.
+Public names are imported from their module on first use; only insolation imports numpy.
 """
 from importlib import import_module
 

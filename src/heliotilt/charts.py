@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 from .geometry import (
     Location,
+    _angles,
     _check_day,
     _check_step,
     _up_south,
@@ -85,8 +86,6 @@ def sunpath_chart(
     With include_azimuth, a companion compass-azimuth series follows
     each elevation series. Polar-night days come back empty.
     """
-    import numpy as np  # the one chart that needs arrays
-
     if days is None:
         days = DEFAULT_CHART_DAYS
     days = tuple(_check_day(d) for d in days)
@@ -95,25 +94,31 @@ def sunpath_chart(
     _check_step(step_minutes)
     out: list[ChartSeries] = []
     half = int(math.floor(12.0 * 60.0 / step_minutes))
-    offsets = np.arange(-half, half + 1) * (step_minutes / 60.0)
-    hours = 12.0 + offsets
-    phi = np.radians(loc.latitude_deg)
-    sin_phi, cos_phi = np.sin(phi), np.cos(phi)
-    omega = np.radians(offsets * 15.0)
-    cos_omega, sin_omega = np.cos(omega), np.sin(omega)
+    offsets = [k * (step_minutes / 60.0) for k in range(-half, half + 1)]
+    # not sun_position: at steps such as 7.2 min the last hour angle rounds
+    # to 180.00000000000003, which its range check rejects
+    omegas = [math.radians(h * 15.0) for h in offsets]
+    samples = [(12.0 + h, math.cos(w), math.sin(w)) for h, w in zip(offsets, omegas)]
+    phi = math.radians(loc.latitude_deg)
+    sin_phi, cos_phi = math.sin(phi), math.cos(phi)
     for day in days:
-        delta = np.radians(declination_exact(day))
-        sin_up, south = _up_south(sin_phi, cos_phi, np.sin(delta), np.cos(delta), cos_omega)
-        elev = np.degrees(np.arcsin(np.clip(sin_up, -1.0, 1.0)))
-        az = np.degrees(np.arctan2(np.cos(delta) * sin_omega, south))
-        up = elev >= 0.0
-        xs = tuple(float(h) for h in hours[up])
+        delta = math.radians(declination_exact(day))
+        sin_d, cos_d = math.sin(delta), math.cos(delta)
+        xs, elev, az = [], [], []
+        for hour, cos_w, sin_w in samples:
+            up, south = _up_south(sin_phi, cos_phi, sin_d, cos_d, cos_w)
+            if up >= 0.0:  # elevation >= 0, as asin keeps the sign
+                e, a = _angles(up, south, cos_d * sin_w)
+                xs.append(hour)
+                elev.append(e)
+                az.append(a)
+        xs = tuple(xs)
         base = {"day": day, "latitude_deg": loc.latitude_deg, "units": "degrees"}
         out.append(
             ChartSeries(
                 name=f"day_{day:03d}",
                 x=xs,
-                y=tuple(float(e) for e in elev[up]),
+                y=tuple(elev),
                 metadata={**base, "kind": "elevation"},
             )
         )
@@ -122,7 +127,7 @@ def sunpath_chart(
                 ChartSeries(
                     name=f"day_{day:03d}_az",
                     x=xs,
-                    y=tuple(compass_azimuth(float(a)) for a in az[up]),
+                    y=tuple(map(compass_azimuth, az)),
                     metadata={**base, "kind": "compass_azimuth"},
                 )
             )

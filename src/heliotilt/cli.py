@@ -120,7 +120,7 @@ def _cmd_schedule(args: argparse.Namespace) -> str:
 
 
 def _cmd_optimize(args: argparse.Namespace) -> str:
-    # imported here, not at the top, so tilt and schedule never load numpy
+    # imported here, not at the top, so tilt, schedule, sun and chart never load numpy
     from .insolation import IrradianceModel, optimize_fixed_tilt
 
     model = IrradianceModel(time_step_minutes=args.step)

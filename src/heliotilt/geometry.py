@@ -6,9 +6,9 @@ spherical transform on the hour angle. The year is a fixed 365 days
 with no leap handling, and every timestamp is local solar time, so
 there is no equation-of-time or longitude correction anywhere.
 
-Everything here is scalar `math`. _up_south is plain arithmetic, so the
-insolation grid and the sun-path chart put numpy arrays through the
-same transform.
+Everything here is scalar `math`. The sun-path chart samples through
+_up_south and _angles one point at a time; _up_south is plain
+arithmetic, so the insolation grid puts numpy arrays through it too.
 """
 from __future__ import annotations
 
@@ -51,16 +51,19 @@ class SolarAngles:
     azimuth_deg: float
 
 
-def _check_day(day: int) -> int:
+def _check_index(value, what: str, count: int) -> int:
+    """value as an int in [1, count]; anything else (inf and nan too) is a ValueError."""
     try:
-        d = int(day)
-    except (TypeError, ValueError):
-        raise ValueError(f"day of year must be an integer, got {day!r}") from None
-    if d != day or not 1 <= d <= DAYS_PER_YEAR:
-        raise ValueError(
-            f"day of year must be an integer in [1, {DAYS_PER_YEAR}], got {day!r}"
-        )
-    return d
+        n = int(value)
+        if n == value and 1 <= n <= count:
+            return n
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ValueError(f"{what} must be an integer in [1, {count}], got {value!r}")
+
+
+def _check_day(day: int) -> int:
+    return _check_index(day, "day of year", DAYS_PER_YEAR)
 
 
 def _check_step(step_minutes: float) -> None:
@@ -151,6 +154,12 @@ def _sun_vector(
     return decl, up, south, cos_d * math.sin(omega)
 
 
+def _angles(up: float, south: float, west: float) -> tuple[float, float]:
+    """(elevation_deg, south-referenced azimuth_deg) of a horizon-frame sun vector."""
+    elevation = math.degrees(math.asin(min(max(up, -1.0), 1.0)))
+    return elevation, math.degrees(math.atan2(west, south))
+
+
 def sun_position(loc: Location, day: int, hour_angle_deg: float) -> SolarAngles:
     """Sun angles at an hour angle omega (15 deg per hour, negative before noon).
 
@@ -163,13 +172,8 @@ def sun_position(loc: Location, day: int, hour_angle_deg: float) -> SolarAngles:
     filter. Scalar math throughout, no numpy.
     """
     decl, up, south, west = _sun_vector(loc, day, hour_angle_deg)
-    elevation = math.degrees(math.asin(min(max(up, -1.0), 1.0)))
-    return SolarAngles(
-        declination_deg=decl,
-        elevation_deg=elevation,
-        zenith_deg=90.0 - elevation,
-        azimuth_deg=math.degrees(math.atan2(west, south)),
-    )
+    elevation, azimuth = _angles(up, south, west)
+    return SolarAngles(decl, elevation, 90.0 - elevation, azimuth)
 
 
 def sunrise_hour_angle(loc: Location, day: int) -> float:

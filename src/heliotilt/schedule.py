@@ -29,6 +29,7 @@ from .geometry import (
     EARTH_TILT_DEG,
     Location,
     _check_day,
+    _check_index,
     declination_exact,
     declination_simplified,
 )
@@ -154,9 +155,7 @@ class MonthlySchedule:
     clamped_months: tuple[int, ...]
 
     def beta_for_month(self, month: int) -> float:
-        if not 1 <= int(month) <= 12 or int(month) != month:
-            raise ValueError(f"month must be an integer in [1, 12], got {month!r}")
-        return self.betas_deg[int(month) - 1]
+        return self.betas_deg[_check_index(month, "month", 12) - 1]
 
     def beta_for_day(self, day: int) -> float:
         return self.beta_for_month(month_of_day(day))
@@ -186,9 +185,7 @@ class SeasonalSchedule:
     delta_deg: tuple[float, float, float, float]
 
     def beta_for_season(self, season: int) -> float:
-        if not 1 <= int(season) <= 4 or int(season) != season:
-            raise ValueError(f"season must be an integer in [1, 4], got {season!r}")
-        return self.betas_deg[int(season) - 1]
+        return self.betas_deg[_check_index(season, "season", 4) - 1]
 
     def beta_for_day(self, day: int) -> float:
         return self.betas_deg[season_of_day(day) - 1]

@@ -1,5 +1,6 @@
 """Chart series, schedule tables, and the CSV/JSON/SVG renderings."""
 import json
+import math
 import pathlib
 
 import numpy as np
@@ -10,10 +11,12 @@ from heliotilt import (
     ChartSeries,
     Location,
     TiltMode,
+    compass_azimuth,
     daily_tilt,
     monthly_schedule,
     schedule_table,
     sun_day_rows,
+    sun_position,
     sunpath_chart,
     tilt_curve,
 )
@@ -52,6 +55,29 @@ class TestSunpathChart:
         series = sunpath_chart(SITE, step_minutes=30.0)
         assert len(series) == 12
         assert [s.metadata["day"] for s in series] == list(DEFAULT_CHART_DAYS)
+
+    @pytest.mark.parametrize("step", [1.0, 7.2])
+    @pytest.mark.parametrize(
+        "lat, day", [(32.7, 81), (32.7, 355), (-45.0, 172), (0.0, 81), (70.0, 172)]
+    )
+    def test_samples_match_sun_position(self, lat, day, step):
+        # each series holds exactly the grid samples where sun_position's
+        # elevation is >= 0, at the same angles. At 7.2 min the end hour
+        # angles round to +-180.00000000000003, past sun_position's range,
+        # so those compare with it at +-180 (70 N on day 172 keeps them)
+        loc = Location(lat)
+        elev, az = sunpath_chart(loc, (day,), step, include_azimuth=True)
+        half = int(12 * 60 / step)
+        want = []
+        for k in range(-half, half + 1):
+            hours = k * (step / 60)
+            sun = sun_position(loc, day, min(max(hours * 15, -180.0), 180.0))
+            if sun.elevation_deg >= 0.0:
+                want.append((12 + hours, sun))
+        assert elev.x == az.x == tuple(x for x, _ in want)
+        for e, a, (_, sun) in zip(elev.y, az.y, want):
+            assert abs(e - sun.elevation_deg) <= 1e-12
+            assert abs(math.remainder(a - compass_azimuth(sun.azimuth_deg), 360.0)) <= 1e-12
 
     def test_peak_sits_at_solar_noon(self):
         for day, peak in ((172, 80.7498), (355, 33.8502)):

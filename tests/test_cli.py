@@ -21,7 +21,9 @@ GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 # Default stdout bytes of every subcommand and format at 32.7 N with coarse
 # steps, plus the 10 N solstice sun, whose due-north noon row prints the
-# signed azimuth as -180.00
+# signed azimuth as -180.00; the 70 N chart holds a midnight sun whose
+# last 7.2-min hour angle rounds past 180, and a polar night; the 45 S
+# chart and 33.9 S sun have the sun to the north
 CLI_GOLDENS = {
     "sun_32p7_d81_s60.json": ("sun", "--lat", "32.7", "--day", "81", "--step", "60"),
     "sun_32p7_d81_s60.csv": (
@@ -68,6 +70,17 @@ CLI_GOLDENS = {
     "chart_sunpath_32p7_s60.svg": (
         "chart", "--lat", "32.7", "--days", "81,172", "--step", "60", "--azimuth",
         "--format", "svg",
+    ),
+    "chart_sunpath_70_d172_355_s7p2.csv": (
+        "chart", "--lat", "70", "--days", "172,355", "--step", "7.2", "--azimuth",
+        "--format", "csv",
+    ),
+    "chart_sunpath_m45_d1_172_s10.csv": (
+        "chart", "--lat", "-45", "--days", "1,172", "--step", "10", "--azimuth",
+        "--format", "csv",
+    ),
+    "sun_m33p9_d355_s10.csv": (
+        "sun", "--lat", "-33.9", "--day", "355", "--step", "10", "--format", "csv"
     ),
     "chart_tilt_32p7.json": ("chart", "--lat", "32.7", "--kind", "tilt"),
     "chart_tilt_32p7.csv": (
@@ -485,7 +498,9 @@ class TestNumpyFreePaths:
             (("chart", "--lat", "32.7", "--kind", "tilt"), 0, False),
             (("tilt", "--lat", "32.7"), 2, False),
             (("schedule", "--lat", "-10"), 1, False),
-            (("sun", "--lat", "32.7", "--day", "81", "--step", "60"), 0, True),
+            (("optimize", "--lat", "32.7", "--step", "60"), 0, True),
+            (("sun", "--lat", "32.7", "--day", "81", "--step", "60"), 0, False),
+            (("chart", "--lat", "32.7", "--azimuth", "--format", "svg"), 0, False),
         ],
     )
     def test_numpy_imported_only_for_arrays(self, argv, code, numpy_loaded):

@@ -163,10 +163,10 @@ class TestMonthlySchedule:
         assert schedule.beta_for_day(60) == schedule.beta_for_month(3)
         assert schedule.beta_for_day(365) == schedule.beta_for_month(12)
 
-    @pytest.mark.parametrize("bad", [0, 13, 3.5])
+    @pytest.mark.parametrize("bad", [0, 13, 3.5, float("inf"), float("nan")])
     def test_rejects_bad_months(self, bad):
         schedule = monthly_schedule(SITE, TiltMode.PAPER)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="month must be an integer in"):
             schedule.beta_for_month(bad)
 
     def test_rejects_non_northern(self):
@@ -234,6 +234,12 @@ class TestSeasonalSchedule:
     def test_rejects_non_northern(self):
         with pytest.raises(UnsupportedHemisphereError):
             seasonal_schedule(Location(0.0), TiltMode.PAPER)
+
+    @pytest.mark.parametrize("bad", [0, 5, 2.5, float("inf"), float("nan")])
+    def test_rejects_bad_seasons(self, bad):
+        seasonal = seasonal_schedule(SITE, TiltMode.PAPER)
+        with pytest.raises(ValueError, match="season must be an integer in"):
+            seasonal.beta_for_season(bad)
 
 
 class TestCalendarHelpers:
