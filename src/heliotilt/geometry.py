@@ -52,10 +52,10 @@ class SolarAngles:
 
 
 def _check_index(value, what: str, count: int) -> int:
-    """value as an int in [1, count]; anything else (inf and nan too) is a ValueError."""
+    """value as an int in [1, count]; anything else (inf, nan and bools too) is a ValueError."""
     try:
         n = int(value)
-        if n == value and 1 <= n <= count:
+        if n == value and 1 <= n <= count and not isinstance(value, bool):
             return n
     except (TypeError, ValueError, OverflowError):
         pass
@@ -67,7 +67,7 @@ def _check_day(day: int) -> int:
 
 
 def _check_step(step_minutes: float) -> None:
-    # the lower bound caps a year grid at about 5.3M samples
+    # the lower bound caps a year grid at about 1.3M samples
     if not 0.1 <= step_minutes <= 120.0:
         raise ValueError(f"time step must be finite minutes in [0.1, 120], got {step_minutes}")
 

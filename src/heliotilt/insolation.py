@@ -10,7 +10,9 @@ ground-reflected terms, so the policy comparison is purely geometric.
 Energy is the trapezoid rule over the hour angle from sunrise to sunset,
 in Wh per m^2, and every figure is one weighted sum: _sample_days samples
 a day range once, _energy adds DNI * trapezoid weight * max(0, cosine),
-and _best_tilt finds the tilt that maximises that sum.
+and _best_tilt finds the tilt that maximises that sum. The sun's horizon
+coordinates depend on the hour angle only through cos(omega), so the grid
+holds each day from noon to sunset and weighs it twice for the morning.
 """
 from __future__ import annotations
 
@@ -134,36 +136,42 @@ class _Grid(NamedTuple):
     horiz: np.ndarray   # cos(elev) * cos(az), the sin(tilt) coefficient
     vert: np.ndarray    # sin(elev), the cos(tilt) coefficient
     weight: np.ndarray  # DNI times the trapezoid weight in hours
-    counts: np.ndarray  # samples of each day, 0 on polar-night days
+    counts: np.ndarray  # samples of each day kept from noon to sunset, 0 on polar-night days
 
 
 def _sample_days(loc: Location, period: tuple[int, int], model: IrradianceModel | None) -> _Grid:
-    """Each day of a period from sunrise to sunset at the model step.
+    """Each day of a period from solar noon to sunset at the model step.
 
-    Hour angles np.linspace(-omega_s, omega_s, n) per day, laid flat and
-    put straight through the spherical transform, a block of whole days
-    at a time so temporaries stay near _BLOCK_SAMPLES long.
+    The trapezoid over np.linspace(-omega_s, omega_s, n) folded at noon:
+    horiz and vert depend on the hour angle only through cos(omega), so a
+    day keeps omega_s - k * spacing, k = 0 .. (n - 1) // 2, and each kept
+    sample weighs twice its two-sided trapezoid weight, except an odd n's
+    noon sample, which has no mirror image (found by n's parity, since its
+    omega rounds to about +-1e-17, either sign). k = 0 sits exactly on the
+    horizon, with the cos(omega_s) of both of the linspace's ends. Days
+    are laid flat and put straight through the spherical transform, a
+    block of whole days at a time so temporaries stay near _BLOCK_SAMPLES long.
     """
     model = model or IrradianceModel()
     days = range(period[0], period[1] + 1)
     spans = np.array([sunrise_hour_angle(loc, day) for day in days])
     step_deg = model.time_step_minutes / 4.0  # 15 deg of hour angle per hour
-    counts = np.array([math.ceil(2.0 * s / step_deg) + 1 if s > 0.0 else 0 for s in spans])
+    full = np.array([math.ceil(2.0 * s / step_deg) + 1 if s > 0.0 else 0 for s in spans])
+    counts = (full + 1) // 2
     ends, phi = np.cumsum(counts), math.radians(loc.latitude_deg)
+    starts = ends - counts
     delta = np.radians([declination_exact(day) for day in days])
-    spacing = 2.0 * spans / np.maximum(counts - 1, 1)  # np.linspace's step
-    per_day = (ends - counts, spacing, spans, np.sin(delta), np.cos(delta))
+    spacing = 2.0 * spans / np.maximum(full - 1, 1)  # np.linspace's step
+    per_day = (starts, spacing, spans, np.sin(delta), np.cos(delta))
     samples = np.empty((3, int(ends[-1])))
-    edges = [0, *np.flatnonzero(np.diff((ends - counts) // _BLOCK_SAMPLES)) + 1, len(counts)]
+    edges = [0, *np.flatnonzero(np.diff(starts // _BLOCK_SAMPLES)) + 1, len(counts)]
     for first, last in zip(edges, edges[1:]):
-        a, b, n = int(ends[first] - counts[first]), int(ends[last - 1]), counts[first:last]
+        a, b, n = int(starts[first]), int(ends[last - 1]), counts[first:last]
         start, step, span, sin_d, cos_d = (np.repeat(x[first:last], n) for x in per_day)
-        omega = (np.arange(a, b, dtype=float) - start) * step - span  # np.linspace, day by day
-        day_last = ends[first:last][n > 0] - a - 1
-        omega[day_last] = spans[first:last][n > 0]
-        half = np.diff(omega / 15.0) / 2.0  # trapezoid half-steps in hours
-        half[day_last[:-1]] = 0.0  # none across midnight
-        hours = np.append(half, 0.0) + np.append(0.0, half)
+        omega = span - (np.arange(a, b, dtype=float) - start) * step  # sunset back to noon
+        hours = step / 7.5  # twice the two-sided trapezoid weight in hours
+        hours[starts[first:last][n > 0] - a] /= 2.0  # k = 0: the two horizon half-steps
+        hours[ends[first:last][full[first:last] % 2 == 1] - a - 1] /= 2.0  # odd n: noon once
         up, south = _up_south(math.sin(phi), math.cos(phi), sin_d, cos_d, np.cos(np.radians(omega)))
         samples[:, a:b] = south, up, _direct_normal(model.solar_constant_w_m2, up) * hours
     return _Grid(*samples, counts)
@@ -228,8 +236,10 @@ def daily_insolation(
 ) -> InsolationResult:
     """One day's plane-of-array energy at a fixed tilt, in Wh/m^2.
 
-    Zero on polar-night days. Symmetric about solar noon because the
-    geometry is, so the morning half carries exactly half the total.
+    Zero on polar-night days. The geometry is symmetric about solar
+    noon, so the afternoon samples, weighted twice, stand in for the
+    morning ones as well: the result is the full trapezoid from sunrise
+    to sunset.
     """
     d = _check_day(day)
     tilt = _check_tilt(tilt_deg)

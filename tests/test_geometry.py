@@ -87,7 +87,9 @@ class TestDeclination:
         assert diffs[worst_day] == pytest.approx(1.0635, abs=1e-3)
         assert diffs[365] == pytest.approx(0.3325, abs=1e-3)
 
-    @pytest.mark.parametrize("bad", [0, 366, -3, 81.5, "81", None, math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize(
+        "bad", [0, 366, -3, 81.5, "81", None, math.inf, -math.inf, math.nan, True, False]
+    )
     def test_rejects_bad_days(self, bad):
         with pytest.raises(ValueError):
             declination_exact(bad)

@@ -19,6 +19,7 @@ from heliotilt import (
     TiltPolicy,
     annual_insolation,
     daily_insolation,
+    declination_exact,
     gain_report,
     incidence_cosine,
     monthly_schedule,
@@ -29,7 +30,7 @@ from heliotilt import (
     sun_position,
     sunrise_hour_angle,
 )
-from heliotilt.insolation import _BLOCK_SAMPLES, _energy, _Grid, _sample_days, _segments
+from heliotilt.insolation import _BLOCK_SAMPLES, _energy, _sample_days, _segments
 
 SITE = Location(32.7)
 FAST = IrradianceModel(time_step_minutes=5.0)
@@ -275,6 +276,28 @@ def trapezoid_bounds(lat, day, tilt, step_minutes=1.0):
     return low, low + 0.5 * float(ends[0] * dh[0] + ends[1] * dh[-1])
 
 
+def full_day_grid(lat, day, step_minutes):
+    """(horiz, vert, weight) of the README's two-sided grid, sunrise to sunset.
+
+    np.linspace(-omega_s, omega_s, n) with n - 1 = ceil(2 omega_s / (step / 4)),
+    each point weighted DNI * (h[i+1] - h[i-1]) / 2 hours, one-sided at the
+    ends. omega_s and the declination come from geometry, so the horizon
+    points see the same sin(elev) sign as the grid under test.
+    """
+    omega_s = sunrise_hour_angle(Location(lat), day)
+    if omega_s == 0.0:
+        return np.zeros(0), np.zeros(0), np.zeros(0)
+    n = math.ceil(2.0 * omega_s / (step_minutes / 4.0)) + 1
+    omega = np.radians(np.linspace(-omega_s, omega_s, n))
+    phi, delta = math.radians(lat), np.radians(declination_exact(day))
+    horiz = np.cos(delta) * np.cos(omega) * math.sin(phi) - np.sin(delta) * math.cos(phi)
+    vert = math.sin(phi) * np.sin(delta) + math.cos(phi) * np.cos(delta) * np.cos(omega)
+    air_mass = 1.0 / np.maximum(vert, math.sin(math.radians(1.0)))
+    dni = np.where(vert > 0.0, 1353.0 * 0.7 ** (air_mass ** 0.678), 0.0)
+    half = np.diff(omega * 12.0 / math.pi) / 2.0  # radians of hour angle to hours
+    return horiz, vert, dni * (np.append(half, 0.0) + np.append(0.0, half))
+
+
 class TestDailyInsolationProperty:
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(
@@ -304,21 +327,20 @@ class TestDailyInsolationProperty:
         step=st.floats(0.5, 120.0),
     )
     @example(lat=80.0, day=172, tilt=40.0, step=1.0)   # midnight sun
+    @example(lat=70.0, day=172, tilt=75.0, step=7.2)   # midnight sun, clipped around midnight
     @example(lat=32.7, day=172, tilt=60.0, step=7.0)   # clipped mornings and evenings
+    @example(lat=0.0, day=81, tilt=10.0, step=1.0)     # n = 721 is odd: a noon sample
     def test_symmetric_about_noon(self, lat, day, tilt, step):
-        # the samples before noon carry the same energy as those after it,
-        # and with the noon sample, when there is one, they make the day
+        # the noon-to-sunset grid, mirrored, is the full two-sided
+        # trapezoid from sunrise to sunset
         model = IrradianceModel(time_step_minutes=step)
         grid = _sample_days(Location(lat), (day, day), model)
-        n = grid.weight.size
-        morning, noon, afternoon = (
-            _energy(_Grid(*(row[part] for row in grid[:3]), grid.counts), tilt)
-            for part in (slice(0, n // 2), slice(n // 2, (n + 1) // 2), slice((n + 1) // 2, n))
-        )
+        horiz, vert, weight = full_day_grid(lat, day, step)
+        beta = math.radians(tilt)
+        full = float(weight @ np.maximum(math.sin(beta) * horiz + math.cos(beta) * vert, 0.0))
         scale = float(grid.weight @ (np.abs(grid.horiz) + np.abs(grid.vert)))
-        assert abs(morning - afternoon) <= 1e-12 * scale
         total = daily_insolation(Location(lat), day, tilt, model).energy_wh_m2
-        assert abs(morning + noon + afternoon - total) <= 1e-12 * scale
+        assert abs(total - full) <= 1e-12 * scale
 
 
 class TestAnnualInsolation:
@@ -427,7 +449,7 @@ class TestOptimizeFixedTilt:
 
 
 SWEEP_LATITUDES = (0.0, 10.0, 23.45, 32.7, 66.55, 70.0, 90.0)
-BLOCK_CROSSING = (60, 200)  # a lit day starts in a second grid block, at every latitude
+BLOCK_CROSSING = (60, 300)  # a lit day starts in a second grid block, at every latitude
 
 
 class TestSweep:
@@ -479,18 +501,25 @@ class TestSweep:
 class TestSampleGrid:
     @staticmethod
     def check_day(loc, day, horiz, vert, weight, model):
+        # sample k sits at omega_s - k * spacing, the mirror of the full
+        # linspace's point n - 1 - k, and weighs twice that point's
+        # two-sided trapezoid hours (once at an odd n's noon)
         omega_s = sunrise_hour_angle(loc, day)
-        omegas = np.linspace(-omega_s, omega_s, weight.size)
-        hours = np.zeros(weight.size)
+        n = math.ceil(2.0 * omega_s / (model.time_step_minutes / 4.0)) + 1
+        assert weight.size == (n - 1) // 2 + 1
+        omegas = np.linspace(-omega_s, omega_s, n)
+        hours = np.zeros(n)
         hours[:-1] += np.diff(omegas / 15.0) / 2.0
         hours[1:] += np.diff(omegas / 15.0) / 2.0
-        for i, omega in enumerate(omegas):
-            angles = sun_position(loc, day, float(omega))
+        spacing = 2.0 * omega_s / (n - 1)
+        for k in range(weight.size):
+            angles = sun_position(loc, day, omega_s - k * spacing)
             elev, az = math.radians(angles.elevation_deg), math.radians(angles.azimuth_deg)
-            assert horiz[i] == pytest.approx(math.cos(elev) * math.cos(az), rel=0.0, abs=1e-12)
-            assert vert[i] == pytest.approx(math.sin(elev), rel=0.0, abs=1e-12)
+            assert horiz[k] == pytest.approx(math.cos(elev) * math.cos(az), rel=0.0, abs=1e-12)
+            assert vert[k] == pytest.approx(math.sin(elev), rel=0.0, abs=1e-12)
             dni = model.direct_normal(angles.elevation_deg)
-            assert weight[i] == pytest.approx(dni * hours[i], rel=1e-12, abs=1e-12)
+            twice = 1.0 if 2 * k == n - 1 else 2.0
+            assert weight[k] == pytest.approx(dni * twice * hours[n - 1 - k], rel=1e-12, abs=1e-12)
 
     @pytest.mark.parametrize(
         "lat,day",
@@ -501,6 +530,18 @@ class TestSampleGrid:
         grid = _sample_days(loc, (day, day), model)
         assert grid.counts.tolist() == [grid.weight.size]
         self.check_day(loc, day, grid.horiz, grid.vert, grid.weight, model)
+
+    @pytest.mark.parametrize("lat", SWEEP_LATITUDES)
+    def test_horizon_sample_weighs_both_linspace_ends(self, lat):
+        # the full grid's ends at -omega_s and omega_s weigh 0 each, or each
+        # the capped-zenith DNI times a half step, by the sign of a sin(elev)
+        # that rounding alone puts near +-1e-17; k = 0 must carry both
+        grid = _sample_days(Location(lat), (1, 365), IrradianceModel())
+        starts = np.cumsum(grid.counts) - grid.counts
+        for day, start, count in zip(range(1, 366), starts, grid.counts):
+            if count:
+                ends = full_day_grid(lat, day, 1.0)[2][[0, -1]]
+                assert grid.weight[start] == pytest.approx(ends.sum(), rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("lat,period", [(32.7, (1, 365)), (70.0, (150, 200))])
     def test_days_either_side_of_a_block_edge(self, lat, period):
