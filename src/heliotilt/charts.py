@@ -73,7 +73,7 @@ class ChartSeries:
 
 def sunpath_chart(
     loc: Location,
-    days: tuple[int, ...] | None = None,
+    days: tuple[int, ...] = DEFAULT_CHART_DAYS,
     step_minutes: float = 1.0,
     include_azimuth: bool = False,
 ) -> list[ChartSeries]:
@@ -86,8 +86,6 @@ def sunpath_chart(
     With include_azimuth, a companion compass-azimuth series follows
     each elevation series. Polar-night days come back empty.
     """
-    if days is None:
-        days = DEFAULT_CHART_DAYS
     days = tuple(_check_day(d) for d in days)
     if not days:
         raise ValueError("at least one day is required for a sun-path chart")
@@ -134,12 +132,12 @@ def sunpath_chart(
     return out
 
 
-def tilt_curve(loc: Location, *, simplified: bool = False) -> ChartSeries:
+def tilt_curve(loc: Location) -> ChartSeries:
     """Daily-rule tilt across the whole year as one series (x = day of year)."""
     values = []
     clamped_days = 0
     for day in range(1, 366):
-        detail = daily_tilt_details(loc, day, simplified=simplified)
+        detail = daily_tilt_details(loc, day)
         values.append(detail.tilt_deg)
         clamped_days += detail.clamped
     return ChartSeries(
@@ -178,11 +176,10 @@ def sun_day_rows(
 
 @dataclass(frozen=True)
 class ScheduleTable:
-    """Labeled tilt rows (months or seasons) plus summary metadata."""
+    """Labeled tilt rows (months or seasons) plus summary metadata, latitude included."""
 
     granularity: str
     mode: TiltMode
-    latitude_deg: float
     rows: tuple[tuple[str, float], ...]
     metadata: dict = field(default_factory=dict)
 
@@ -210,7 +207,6 @@ def schedule_table(
     return ScheduleTable(
         granularity=granularity,
         mode=mode,
-        latitude_deg=loc.latitude_deg,
         rows=rows,
         metadata={
             "latitude_deg": loc.latitude_deg,
@@ -280,8 +276,8 @@ _SVG_W, _SVG_H = 800, 500
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 60, 20, 40, 50
 
 
-def _tick_values(lo: float, hi: float, count: int = 5) -> list[float]:
-    return [lo + (hi - lo) * i / (count - 1) for i in range(count)]
+def _tick_values(lo: float, hi: float) -> list[float]:
+    return [lo + (hi - lo) * i / 4 for i in range(5)]
 
 
 def render_svg(

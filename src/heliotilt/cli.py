@@ -33,7 +33,6 @@ from .charts import (
 from .geometry import Location
 from .schedule import (
     TiltMode,
-    UnsupportedHemisphereError,
     daily_tilt_details,
     monthly_schedule,
     round_half_up,
@@ -280,7 +279,7 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except (UnsupportedHemisphereError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     try:

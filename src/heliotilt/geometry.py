@@ -55,7 +55,8 @@ def _check_index(value, what: str, count: int) -> int:
     """value as an int in [1, count]; anything else (inf, nan and bools too) is a ValueError."""
     try:
         n = int(value)
-        if n == value and 1 <= n <= count and not isinstance(value, bool):
+        is_bool = isinstance(value, bool) or getattr(value, "dtype", None) == bool  # numpy's too
+        if n == value and 1 <= n <= count and not is_bool:
             return n
     except (TypeError, ValueError, OverflowError):
         pass

@@ -1,11 +1,12 @@
 """Clear-sky beam insolation on a tilted, south-facing plane.
 
 Direct-normal irradiance follows the air-mass attenuation law
-S * 0.7 ** (AM ** 0.678) with AM = 1 / cos(zenith); the zenith is
-capped at 89 deg, which makes AM = 1 / max(sin(elev), sin 1 deg) and
-keeps it finite at the horizon. The plane-of-array component multiplies
-by the incidence cosine floored at zero. Beam only: no diffuse or
-ground-reflected terms, so the policy comparison is purely geometric.
+S * 0.7 ** (AM ** 0.678) with S = 1353 W/m^2 and AM = 1 / cos(zenith);
+the zenith is capped at 89 deg, which makes AM = 1 / max(sin(elev),
+sin 1 deg) and keeps it finite at the horizon. The plane-of-array
+component multiplies by the incidence cosine floored at zero. Beam
+only: no diffuse or ground-reflected terms, so the policy comparison is
+purely geometric.
 
 Energy is the trapezoid rule over the hour angle from sunrise to sunset,
 in Wh per m^2, and every figure is one weighted sum: _sample_days samples
@@ -33,6 +34,7 @@ from .geometry import (
 )
 from .schedule import TiltMode, TiltPolicy, _check_tilt, monthly_schedule, seasonal_schedule
 
+SOLAR_CONSTANT_W_M2 = 1353.0
 TRANSMITTANCE = 0.7
 AIR_MASS_EXPONENT = 0.678
 ZENITH_CAP_DEG = 89.0
@@ -43,14 +45,12 @@ _BLOCK_SAMPLES = 1 << 14  # a grid block holds the days that start in one such w
 
 @dataclass(frozen=True)
 class IrradianceModel:
-    """Clear-sky constants plus the integration step in minutes."""
+    """The integration step in minutes. The clear-sky constants are the module's;
+    energy is proportional to S, so S / 1353 rescales it and moves no tilt or gain."""
 
-    solar_constant_w_m2: float = 1353.0
     time_step_minutes: float = 1.0
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.solar_constant_w_m2 < math.inf:
-            raise ValueError(f"solar constant must be in (0, inf), got {self.solar_constant_w_m2}")
         _check_step(self.time_step_minutes)
 
     def direct_normal(self, elevation_deg):
@@ -59,14 +59,14 @@ class IrradianceModel:
         Scalar in, scalar out; ndarray in, ndarray out. Zero at and
         below the horizon.
         """
-        out = _direct_normal(self.solar_constant_w_m2, np.sin(np.radians(elevation_deg)))
+        out = _direct_normal(np.sin(np.radians(elevation_deg)))
         return float(out) if np.ndim(elevation_deg) == 0 else out
 
 
-def _direct_normal(solar_constant, sin_elev):
+def _direct_normal(sin_elev):
     """S * 0.7 ** (AM ** 0.678), AM = 1 / max(sin(elev), sin 1 deg); 0 unless sin(elev) > 0."""
     air_mass = 1.0 / np.maximum(sin_elev, np.sin(np.radians(90.0 - ZENITH_CAP_DEG)))
-    dni = solar_constant * TRANSMITTANCE ** (air_mass ** AIR_MASS_EXPONENT)
+    dni = SOLAR_CONSTANT_W_M2 * TRANSMITTANCE ** (air_mass ** AIR_MASS_EXPONENT)
     return np.where(sin_elev > 0.0, dni, 0.0)
 
 
@@ -173,7 +173,7 @@ def _sample_days(loc: Location, period: tuple[int, int], model: IrradianceModel 
         hours[starts[first:last][n > 0] - a] /= 2.0  # k = 0: the two horizon half-steps
         hours[ends[first:last][full[first:last] % 2 == 1] - a - 1] /= 2.0  # odd n: noon once
         up, south = _up_south(math.sin(phi), math.cos(phi), sin_d, cos_d, np.cos(np.radians(omega)))
-        samples[:, a:b] = south, up, _direct_normal(model.solar_constant_w_m2, up) * hours
+        samples[:, a:b] = south, up, _direct_normal(up) * hours
     return _Grid(*samples, counts)
 
 

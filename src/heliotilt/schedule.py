@@ -209,13 +209,12 @@ def seasonal_schedule(loc: Location, mode: TiltMode = TiltMode.PAPER) -> Seasona
 class TiltPolicy:
     """A named policy: one panel tilt for each day of the 365-day year.
 
-    Construct through the classmethods; kind is one of fixed, seasonal,
-    monthly, daily and label is a short human-readable tag used in
-    reports. tilts_deg holds the tilt of day 1 first.
+    Construct through the classmethods fixed, seasonal, monthly and daily;
+    label is a short tag used in reports that starts with the classmethod's
+    name. tilts_deg holds the tilt of day 1 first.
     """
 
-    def __init__(self, kind: str, label: str, tilts_deg: Sequence[float]):
-        self.kind = kind
+    def __init__(self, label: str, tilts_deg: Sequence[float]):
         self.label = label
         self.tilts_deg = tuple(_check_tilt(t) for t in tilts_deg)
         if len(self.tilts_deg) != DAYS_PER_YEAR:
@@ -229,18 +228,16 @@ class TiltPolicy:
 
     @classmethod
     def fixed(cls, tilt_deg: float) -> "TiltPolicy":
-        return cls("fixed", f"fixed({tilt_deg:.2f})", (tilt_deg,) * DAYS_PER_YEAR)
+        return cls(f"fixed({tilt_deg:.2f})", (tilt_deg,) * DAYS_PER_YEAR)
 
     @classmethod
     def seasonal(cls, schedule: SeasonalSchedule) -> "TiltPolicy":
-        label = f"seasonal({schedule.mode.value})"
-        return cls("seasonal", label, [schedule.beta_for_day(d) for d in _DAYS])
+        return cls(f"seasonal({schedule.mode.value})", [schedule.beta_for_day(d) for d in _DAYS])
 
     @classmethod
     def monthly(cls, schedule: MonthlySchedule) -> "TiltPolicy":
-        label = f"monthly({schedule.mode.value})"
-        return cls("monthly", label, [schedule.beta_for_day(d) for d in _DAYS])
+        return cls(f"monthly({schedule.mode.value})", [schedule.beta_for_day(d) for d in _DAYS])
 
     @classmethod
-    def daily(cls, loc: Location, *, simplified: bool = False) -> "TiltPolicy":
-        return cls("daily", "daily", [daily_tilt(loc, d, simplified=simplified) for d in _DAYS])
+    def daily(cls, loc: Location) -> "TiltPolicy":
+        return cls("daily", [daily_tilt(loc, d) for d in _DAYS])

@@ -1,6 +1,7 @@
 """Geometry layer: declination, noon angles, intra-day position, sunrise."""
 import math
 
+import numpy as np
 import pytest
 
 from heliotilt import (
@@ -88,7 +89,9 @@ class TestDeclination:
         assert diffs[365] == pytest.approx(0.3325, abs=1e-3)
 
     @pytest.mark.parametrize(
-        "bad", [0, 366, -3, 81.5, "81", None, math.inf, -math.inf, math.nan, True, False]
+        "bad",
+        [0, 366, -3, 81.5, "81", None, math.inf, -math.inf, math.nan, True, False,
+         np.True_, np.False_],
     )
     def test_rejects_bad_days(self, bad):
         with pytest.raises(ValueError):

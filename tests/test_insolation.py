@@ -30,7 +30,7 @@ from heliotilt import (
     sun_position,
     sunrise_hour_angle,
 )
-from heliotilt.insolation import _BLOCK_SAMPLES, _energy, _sample_days, _segments
+from heliotilt.insolation import SOLAR_CONSTANT_W_M2, _BLOCK_SAMPLES, _energy, _sample_days, _segments
 
 SITE = Location(32.7)
 FAST = IrradianceModel(time_step_minutes=5.0)
@@ -65,7 +65,7 @@ class TestDirectNormal:
         model = IrradianceModel()
         for elev in range(1, 91, 3):
             dni = model.direct_normal(float(elev))
-            assert 0.0 < dni <= model.solar_constant_w_m2
+            assert 0.0 < dni <= SOLAR_CONSTANT_W_M2
 
     def test_monotone_in_elevation(self):
         model = IrradianceModel()
@@ -84,14 +84,7 @@ class TestDirectNormal:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            IrradianceModel(solar_constant_w_m2=0.0)
-        with pytest.raises(ValueError):
             IrradianceModel(time_step_minutes=-1.0)
-
-    @pytest.mark.parametrize("constant", [math.nan, math.inf, 0.0, -1.0])
-    def test_rejects_a_non_finite_or_non_positive_solar_constant(self, constant):
-        with pytest.raises(ValueError, match="solar constant"):
-            IrradianceModel(solar_constant_w_m2=constant)
 
     @pytest.mark.parametrize("step", [math.inf, math.nan, 0.05, 120.5])
     def test_rejects_unbounded_steps(self, step):
@@ -638,8 +631,8 @@ class TestGainReport:
 class TestPolicyTilts:
     def test_rejects_a_tilt_out_of_range(self):
         with pytest.raises(ValueError):
-            TiltPolicy("fixed", "x", (95.0,) * 365)
+            TiltPolicy("x", (95.0,) * 365)
 
     def test_rejects_a_short_year(self):
         with pytest.raises(ValueError):
-            TiltPolicy("fixed", "x", (30.0,) * 364)
+            TiltPolicy("x", (30.0,) * 364)

@@ -1,4 +1,5 @@
 """Tilt rules: daily, monthly, seasonal, policies, and their invariants."""
+import numpy as np
 import pytest
 
 from heliotilt import (
@@ -163,7 +164,9 @@ class TestMonthlySchedule:
         assert schedule.beta_for_day(60) == schedule.beta_for_month(3)
         assert schedule.beta_for_day(365) == schedule.beta_for_month(12)
 
-    @pytest.mark.parametrize("bad", [0, 13, 3.5, float("inf"), float("nan"), True, False])
+    @pytest.mark.parametrize(
+        "bad", [0, 13, 3.5, float("inf"), float("nan"), True, False, np.True_, np.False_]
+    )
     def test_rejects_bad_months(self, bad):
         schedule = monthly_schedule(SITE, TiltMode.PAPER)
         with pytest.raises(ValueError, match="month must be an integer in"):
@@ -235,7 +238,9 @@ class TestSeasonalSchedule:
         with pytest.raises(UnsupportedHemisphereError):
             seasonal_schedule(Location(0.0), TiltMode.PAPER)
 
-    @pytest.mark.parametrize("bad", [0, 5, 2.5, float("inf"), float("nan"), True, False])
+    @pytest.mark.parametrize(
+        "bad", [0, 5, 2.5, float("inf"), float("nan"), True, False, np.True_, np.False_]
+    )
     def test_rejects_bad_seasons(self, bad):
         seasonal = seasonal_schedule(SITE, TiltMode.PAPER)
         with pytest.raises(ValueError, match="season must be an integer in"):
@@ -293,7 +298,6 @@ class TestTiltExtremes:
 class TestTiltPolicy:
     def test_fixed_policy(self):
         policy = TiltPolicy.fixed(20.0)
-        assert policy.kind == "fixed"
         assert policy.label == "fixed(20.00)"
         for d in (1, 81, 172, 365):
             assert policy.tilt_for_day(d) == 20.0
