@@ -80,7 +80,10 @@ def declination_exact(day: int) -> float:
     degrees. Zero at day 81, peaks near +23.45 at the June solstice
     (d = 172) and -23.45 at the December solstice (d = 355).
     """
-    d = _check_day(day)
+    return _declination(_check_day(day))
+
+
+def _declination(d: int) -> float:
     return EARTH_TILT_DEG * math.sin(_DEG * (360.0 / DAYS_PER_YEAR) * (d - EQUINOX_DAY))
 
 
@@ -184,8 +187,11 @@ def sunrise_hour_angle(loc: Location, day: int) -> float:
     (polar night), 180 when it never sets (midnight sun). Day length in
     hours is 2/15 of the returned value.
     """
-    d = _check_day(day)
-    x = -math.tan(loc.latitude_deg * _DEG) * math.tan(declination_exact(d) * _DEG)
+    return _sunset_angle(math.tan(loc.latitude_deg * _DEG), declination_exact(day))
+
+
+def _sunset_angle(tan_phi: float, decl_deg: float) -> float:
+    x = -tan_phi * math.tan(decl_deg * _DEG)
     if x >= 1.0:
         return 0.0
     if x <= -1.0:

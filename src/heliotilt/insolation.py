@@ -3,7 +3,10 @@
 Direct-normal irradiance follows the air-mass attenuation law
 S * 0.7 ** (AM ** 0.678) with S = 1353 W/m^2 and AM = 1 / cos(zenith);
 the zenith is capped at 89 deg, which makes AM = 1 / max(sin(elev),
-sin 1 deg) and keeps it finite at the horizon. The plane-of-array
+sin 1 deg) and keeps it finite at the horizon. It is evaluated as
+S * exp(ln 0.7 * exp(-0.678 * ln max(sin(elev), sin 1 deg))), the same
+law in one log and two exps, which matches the power form to 4e-15
+relative in less than half the time of numpy's two powers. The plane-of-array
 component multiplies by the incidence cosine floored at zero. Beam
 only: no diffuse or ground-reflected terms, so the policy comparison is
 purely geometric.
@@ -27,10 +30,10 @@ from .geometry import (
     Location,
     _check_day,
     _check_step,
+    _declination,
     _sun_vector,
+    _sunset_angle,
     _up_south,
-    declination_exact,
-    sunrise_hour_angle,
 )
 from .schedule import TiltMode, TiltPolicy, _check_tilt, monthly_schedule, seasonal_schedule
 
@@ -38,6 +41,7 @@ SOLAR_CONSTANT_W_M2 = 1353.0
 TRANSMITTANCE = 0.7
 AIR_MASS_EXPONENT = 0.678
 ZENITH_CAP_DEG = 89.0
+_SIN_CAP = math.sin(math.radians(90.0 - ZENITH_CAP_DEG))  # sin(elev) at the zenith cap
 
 FULL_YEAR = (1, 365)
 _BLOCK_SAMPLES = 1 << 14  # a grid block holds the days that start in one such window
@@ -59,15 +63,18 @@ class IrradianceModel:
         Scalar in, scalar out; ndarray in, ndarray out. Zero at and
         below the horizon.
         """
-        out = _direct_normal(np.sin(np.radians(elevation_deg)))
-        return float(out) if np.ndim(elevation_deg) == 0 else out
+        out = _direct_normal(np.sin(np.radians(np.atleast_1d(elevation_deg))))
+        return float(out[0]) if np.ndim(elevation_deg) == 0 else out
 
 
-def _direct_normal(sin_elev):
-    """S * 0.7 ** (AM ** 0.678), AM = 1 / max(sin(elev), sin 1 deg); 0 unless sin(elev) > 0."""
-    air_mass = 1.0 / np.maximum(sin_elev, np.sin(np.radians(90.0 - ZENITH_CAP_DEG)))
-    dni = SOLAR_CONSTANT_W_M2 * TRANSMITTANCE ** (air_mass ** AIR_MASS_EXPONENT)
-    return np.where(sin_elev > 0.0, dni, 0.0)
+def _direct_normal(sin_elev: np.ndarray) -> np.ndarray:
+    """S * 0.7 ** (AM ** 0.678) in its exp-log form, in place; 0 unless sin(elev) > 0."""
+    dni = np.log(np.maximum(sin_elev, _SIN_CAP))  # -ln(AM)
+    np.exp(np.multiply(dni, -AIR_MASS_EXPONENT, out=dni), out=dni)  # AM ** 0.678
+    np.exp(np.multiply(dni, math.log(TRANSMITTANCE), out=dni), out=dni)
+    dni *= SOLAR_CONSTANT_W_M2
+    dni[~(sin_elev > 0.0)] = 0.0
+    return dni
 
 
 @dataclass(frozen=True)
@@ -153,16 +160,20 @@ def _sample_days(loc: Location, period: tuple[int, int], model: IrradianceModel 
     block of whole days at a time so temporaries stay near _BLOCK_SAMPLES long.
     """
     model = model or IrradianceModel()
-    days = range(period[0], period[1] + 1)
-    spans = np.array([sunrise_hour_angle(loc, day) for day in days])
+    phi = math.radians(loc.latitude_deg)
+    tan_phi = math.tan(phi)
+    # scalar math, as in sunrise_hour_angle: a last-bit change in a span flips horizon weights
+    decl = [_declination(day) for day in range(period[0], period[1] + 1)]
+    spans = [_sunset_angle(tan_phi, x) for x in decl]
     step_deg = model.time_step_minutes / 4.0  # 15 deg of hour angle per hour
     full = np.array([math.ceil(2.0 * s / step_deg) + 1 if s > 0.0 else 0 for s in spans])
     counts = (full + 1) // 2
-    ends, phi = np.cumsum(counts), math.radians(loc.latitude_deg)
+    ends = np.cumsum(counts)
     starts = ends - counts
-    delta = np.radians([declination_exact(day) for day in days])
+    spans = np.array(spans)
     spacing = 2.0 * spans / np.maximum(full - 1, 1)  # np.linspace's step
-    per_day = (starts, spacing, spans, np.sin(delta), np.cos(delta))
+    sin_cos = np.array([(math.sin(x), math.cos(x)) for x in map(math.radians, decl)]).T
+    per_day = (starts, spacing, spans, *sin_cos)
     samples = np.empty((3, int(ends[-1])))
     edges = [0, *np.flatnonzero(np.diff(starts // _BLOCK_SAMPLES)) + 1, len(counts)]
     for first, last in zip(edges, edges[1:]):
@@ -173,7 +184,8 @@ def _sample_days(loc: Location, period: tuple[int, int], model: IrradianceModel 
         hours[starts[first:last][n > 0] - a] /= 2.0  # k = 0: the two horizon half-steps
         hours[ends[first:last][full[first:last] % 2 == 1] - a - 1] /= 2.0  # odd n: noon once
         up, south = _up_south(math.sin(phi), math.cos(phi), sin_d, cos_d, np.cos(np.radians(omega)))
-        samples[:, a:b] = south, up, _direct_normal(up) * hours
+        hours *= _direct_normal(up)
+        samples[:, a:b] = south, up, hours
     return _Grid(*samples, counts)
 
 
@@ -200,7 +212,7 @@ def _segments(grid: _Grid) -> tuple[np.ndarray, np.ndarray]:
     behind = grid.horiz < 0.0
     cut = np.arctan2(grid.vert[behind], -grid.horiz[behind])
     order = np.argsort(cut)
-    cut.sort()
+    cut = cut[order]
     ab = np.zeros((2, cut.size + 1))  # H_cut and V_cut, then A and B
     for row, coefficient in zip(ab, (grid.horiz, grid.vert)):
         weighted = grid.weight[behind]
@@ -214,18 +226,15 @@ def _best_tilt(grid: _Grid) -> float:
     """The tilt in [0, 90] deg where _energy peaks, the lowest one on ties.
 
     E is continuous, so its maximum is the best of the segment peaks
-    atan2(A, B) (_segments), each clipped into its segment (so they rise
-    with it) and into [0, 90]: Klein's lit interval (Solar Energy 19:325).
+    atan2(A, B) (_segments), each clipped into [0, 90] and into its segment:
+    Klein's lit interval (Solar Energy 19:325). Cut-offs are convex kinks of E,
+    so only the peaks that lie in their own segment once clipped into [0, 90] can win.
     """
     cut, ab = _segments(grid)
-    peak = np.arctan2(*ab)
-    np.maximum(peak[1:], cut, out=peak[1:])  # segment k spans [cut[k-1], cut[k]]
-    np.minimum(peak[:-1], cut, out=peak[:-1])
-    del cut
-    np.clip(peak, 0.0, np.pi / 2.0, out=peak)
-    ab[0] *= np.sin(peak)
-    ab[1] *= np.cos(peak)
-    return float(np.degrees(peak[np.argmax(np.add(*ab, out=ab[0]))]))
+    peak = np.clip(np.arctan2(*ab), 0.0, np.pi / 2.0)
+    inside = np.r_[True, peak[1:] >= cut] & np.r_[peak[:-1] <= cut, True]  # in [cut[k-1], cut[k]]
+    (a, b), peak = ab[:, inside], peak[inside]
+    return float(np.degrees(peak[np.argmax(a * np.sin(peak) + b * np.cos(peak))]))
 
 
 def daily_insolation(

@@ -30,6 +30,7 @@ from .geometry import (
     Location,
     _check_day,
     _check_index,
+    _declination,
     declination_exact,
     declination_simplified,
 )
@@ -53,6 +54,7 @@ MONTH_NAMES = (
 # day of year before the 1st of each month, 365-day year
 _CUM_DAYS = (0, 31, 59, 90, 120, 151, 181, 212, 243, 273, 304, 334)
 _DAYS = range(1, DAYS_PER_YEAR + 1)
+_MONTH_INDEX = tuple(bisect.bisect_left(_CUM_DAYS, d) - 1 for d in _DAYS)  # 0 = January
 
 SEASON_NAMES = ("winter", "spring", "summer", "fall")
 SEASON_MONTHS = ((1, 2, 3), (4, 5, 6), (7, 8, 9), (10, 11, 12))
@@ -78,7 +80,7 @@ def offsets_for(mode: TiltMode) -> tuple[float, ...]:
 
 def month_of_day(day: int) -> int:
     """Month number (1..12) containing a day of the 365-day year."""
-    return bisect.bisect_left(_CUM_DAYS, _check_day(day))
+    return _MONTH_INDEX[_check_day(day) - 1] + 1
 
 
 def season_of_day(day: int) -> int:
@@ -215,10 +217,14 @@ class TiltPolicy:
     """
 
     def __init__(self, label: str, tilts_deg: Sequence[float]):
+        tilts = list(tilts_deg)
+        out_of_range = [t for t in tilts if not 0.0 <= t <= 90.0]  # one pass, no call per tilt
+        if out_of_range:
+            _check_tilt(out_of_range[0])  # raises its ValueError
+        if len(tilts) != DAYS_PER_YEAR:
+            raise ValueError(f"a policy needs {DAYS_PER_YEAR} tilts, got {len(tilts)}")
         self.label = label
-        self.tilts_deg = tuple(_check_tilt(t) for t in tilts_deg)
-        if len(self.tilts_deg) != DAYS_PER_YEAR:
-            raise ValueError(f"a policy needs {DAYS_PER_YEAR} tilts, got {len(self.tilts_deg)}")
+        self.tilts_deg = tuple(map(float, tilts))
 
     def __repr__(self) -> str:
         return f"TiltPolicy({self.label})"
@@ -232,12 +238,14 @@ class TiltPolicy:
 
     @classmethod
     def seasonal(cls, schedule: SeasonalSchedule) -> "TiltPolicy":
-        return cls(f"seasonal({schedule.mode.value})", [schedule.beta_for_day(d) for d in _DAYS])
+        tilts = [schedule.betas_deg[m // 3] for m in _MONTH_INDEX]  # three months a season
+        return cls(f"seasonal({schedule.mode.value})", tilts)
 
     @classmethod
     def monthly(cls, schedule: MonthlySchedule) -> "TiltPolicy":
-        return cls(f"monthly({schedule.mode.value})", [schedule.beta_for_day(d) for d in _DAYS])
+        return cls(f"monthly({schedule.mode.value})", [schedule.betas_deg[m] for m in _MONTH_INDEX])
 
     @classmethod
     def daily(cls, loc: Location) -> "TiltPolicy":
-        return cls("daily", [daily_tilt(loc, d) for d in _DAYS])
+        phi = _require_northern(loc)  # daily_tilt of each day
+        return cls("daily", [_clamp_tilt(phi - _declination(d)) for d in _DAYS])

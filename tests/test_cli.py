@@ -504,10 +504,31 @@ class TestNumpyFreePaths:
         ],
     )
     def test_numpy_imported_only_for_arrays(self, argv, code, numpy_loaded):
-        src = str(pathlib.Path(heliotilt.__file__).parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            filter(None, (src, os.environ.get("PYTHONPATH"))))}
-        proc = subprocess.run([sys.executable, "-c", _NUMPY_PROBE, *argv], env=env,
+        proc = subprocess.run([sys.executable, "-c", _NUMPY_PROBE, *argv], env=_src_env(),
                               capture_output=True, text=True, timeout=60)
         assert proc.returncode == code, proc.stderr
         assert proc.stderr.splitlines()[-1] == str(numpy_loaded)
+
+    def test_policies_build_without_numpy(self):
+        script = (
+            "import sys\n"
+            "from heliotilt import Location, TiltMode, TiltPolicy\n"
+            "from heliotilt import monthly_schedule, seasonal_schedule\n"
+            "loc = Location(32.7)\n"
+            "for mode in TiltMode:\n"
+            "    TiltPolicy.seasonal(seasonal_schedule(loc, mode))\n"
+            "    TiltPolicy.monthly(monthly_schedule(loc, mode))\n"
+            "TiltPolicy.daily(loc)\n"
+            "print('numpy' in sys.modules)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], env=_src_env(),
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False\n"
+
+
+def _src_env():
+    """The environment with this checkout's src/ first on PYTHONPATH."""
+    src = str(pathlib.Path(heliotilt.__file__).parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}

@@ -19,6 +19,7 @@ from heliotilt import (
     TiltPolicy,
     annual_insolation,
     daily_insolation,
+    daily_tilt,
     declination_exact,
     gain_report,
     incidence_cosine,
@@ -30,7 +31,16 @@ from heliotilt import (
     sun_position,
     sunrise_hour_angle,
 )
-from heliotilt.insolation import SOLAR_CONSTANT_W_M2, _BLOCK_SAMPLES, _energy, _sample_days, _segments
+from heliotilt.insolation import (
+    SOLAR_CONSTANT_W_M2,
+    _BLOCK_SAMPLES,
+    _best_tilt,
+    _direct_normal,
+    _energy,
+    _sample_days,
+    _segments,
+)
+from heliotilt.schedule import _check_tilt
 
 SITE = Location(32.7)
 FAST = IrradianceModel(time_step_minutes=5.0)
@@ -81,6 +91,26 @@ class TestDirectNormal:
             # identical math; numpy's vector and scalar paths may differ
             # in the last ulp
             assert v == pytest.approx(model.direct_normal(float(e)), rel=1e-12, abs=0.0)
+
+    def test_matches_the_documented_power_law(self):
+        # the exp-log form against S * 0.7 ** (AM ** 0.678) itself, on both
+        # sides of the horizon and of the zenith cap's sin(1 deg)
+        cap = math.sin(math.radians(1.0))
+        edges = [-1e-17, 0.0, 1e-17, math.nextafter(cap, 0.0), cap, math.nextafter(cap, 1.0),
+                 0.5, 1.0]
+        dense = [np.linspace(-1.0, 1.0, 20001), np.geomspace(1e-20, 1.0, 2001)]
+        sin_elev = np.concatenate([edges, *dense])
+        expected = np.array([
+            SOLAR_CONSTANT_W_M2 * 0.7 ** ((1.0 / max(s, cap)) ** 0.678) if s > 0.0 else 0.0
+            for s in sin_elev.tolist()
+        ])
+        got = _direct_normal(sin_elev)
+        assert np.array_equal(got == 0.0, sin_elev <= 0.0)  # exactly 0 at and below the horizon
+        np.testing.assert_allclose(got, expected, rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("elevation", [30.0, np.float64(30.0), 0.0, -5.0])
+    def test_scalar_in_float_out(self, elevation):
+        assert type(IrradianceModel().direct_normal(elevation)) is float
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -491,7 +521,88 @@ class TestSweep:
         assert math.copysign(1.0, result.tilt_deg) == 1.0
 
 
+def clipped_peak_argmax(grid):
+    """The optimum as the argmax over every segment's peak, clipped into its
+    segment and into [0, 90] and scored by A sin + B cos there."""
+    cut, (a, b) = _segments(grid)
+    peak = np.arctan2(a, b)
+    peak[1:] = np.maximum(peak[1:], cut)  # segment k spans [cut[k-1], cut[k]]
+    peak[:-1] = np.minimum(peak[:-1], cut)
+    peak = np.clip(peak, 0.0, np.pi / 2.0)
+    return float(np.degrees(peak[np.argmax(a * np.sin(peak) + b * np.cos(peak))]))
+
+
+BEST_TILT_CASES = [
+    *((lat, period, FAST) for lat in SWEEP_LATITUDES
+      for period in [(1, 365), (150, 240), (172, 172), (355, 355), BLOCK_CROSSING]),
+    (5.0, (1, 365), IrradianceModel()),  # about 61k segments
+]
+
+
+class TestBestTilt:
+    @pytest.mark.parametrize("lat,period,model", BEST_TILT_CASES)
+    def test_equals_the_clipped_peak_argmax(self, lat, period, model):
+        grid = _sample_days(Location(lat), period, model)
+        assert _best_tilt(grid) == clipped_peak_argmax(grid)
+
+    @pytest.mark.parametrize("lat,period,model", BEST_TILT_CASES)
+    def test_an_inside_peak_scores_hypot(self, lat, period, model):
+        # a peak inside its own segment and inside [0, 90] is that segment's
+        # maximum, hypot(A, B); the clipped ones at 0 and 90 are B and A
+        grid = _sample_days(Location(lat), period, model)
+        cut, (a, b) = _segments(grid)
+        peak = np.arctan2(a, b)
+        lo, hi = np.append(-np.inf, cut), np.append(cut, np.inf)
+        inside = (peak >= np.maximum(lo, 0.0)) & (peak <= np.minimum(hi, np.pi / 2.0))
+        scale = float(grid.weight @ (np.abs(grid.horiz) + np.abs(grid.vert)))
+        for k in np.flatnonzero(inside):
+            energy = _energy(grid, math.degrees(peak[k]))
+            assert abs(math.hypot(a[k], b[k]) - energy) <= 1e-12 * scale
+        k0 = np.searchsorted(cut, 0.0)  # the segment holding tilt 0
+        assert abs(b[k0] - _energy(grid, 0.0)) <= 1e-12 * scale
+        assert abs(a[-1] - _energy(grid, 90.0)) <= 1e-12 * scale
+
+    def test_a_horizon_cut_off_below_zero(self):
+        # a sunset sample with sin(elev) a hair below 0 north of the east-west
+        # line cuts off just below tilt 0; its weight is 0, so the segments on
+        # either side of it score tilt 0 alike
+        grid = _sample_days(Location(32.7), (1, 365), FAST)
+        cut, (a, b) = _segments(grid)
+        below = np.flatnonzero(cut < 0.0)
+        assert below.size and cut[below].min() > -1e-13
+        assert np.all(b[: below[-1] + 2] == b[below[-1] + 1])
+
+
+def per_day_grid(lat, step_minutes):
+    """(horiz, vert, counts) of a full year, built day by day from the checked
+    sunrise_hour_angle and declination_exact with the grid's own arithmetic."""
+    phi = math.radians(lat)
+    horiz, vert, counts = [], [], []
+    for day in range(1, 366):
+        omega_s = sunrise_hour_angle(Location(lat), day)
+        n = math.ceil(2.0 * omega_s / (step_minutes / 4.0)) + 1 if omega_s > 0.0 else 0
+        k = np.arange((n + 1) // 2)
+        cos_omega = np.cos(np.radians(omega_s - k * (2.0 * omega_s / max(n - 1, 1))))
+        delta = math.radians(declination_exact(day))
+        vert.append(math.sin(phi) * math.sin(delta) + math.cos(phi) * math.cos(delta) * cos_omega)
+        horiz.append(cos_omega * math.cos(delta) * math.sin(phi) - math.sin(delta) * math.cos(phi))
+        counts.append(k.size)
+    return np.concatenate(horiz), np.concatenate(vert), np.array(counts)
+
+
 class TestSampleGrid:
+    @pytest.mark.parametrize("lat", SWEEP_LATITUDES)
+    @pytest.mark.parametrize("step", [1.0, 7.5, 30.0])
+    def test_equals_a_per_day_reference(self, lat, step):
+        # bit for bit: a last-bit change in a span or a declination moves the
+        # horizon samples, whose sin(elev) is +-1e-16, across zero
+        grid = _sample_days(Location(lat), (1, 365), IrradianceModel(step))
+        horiz, vert, counts = per_day_grid(lat, step)
+        assert np.array_equal(grid.counts, counts)
+        assert np.array_equal(grid.horiz, horiz)
+        assert np.array_equal(grid.vert, vert)
+        assert np.array_equal(grid.weight > 0.0, vert > 0.0)
+
     @staticmethod
     def check_day(loc, day, horiz, vert, weight, model):
         # sample k sits at omega_s - k * spacing, the mirror of the full
@@ -634,5 +745,34 @@ class TestPolicyTilts:
             TiltPolicy("x", (95.0,) * 365)
 
     def test_rejects_a_short_year(self):
-        with pytest.raises(ValueError):
-            TiltPolicy("x", (30.0,) * 364)
+        for days in (364, 366):  # and a long one
+            with pytest.raises(ValueError, match="365 tilts"):
+                TiltPolicy("x", (30.0,) * days)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1e-9, 90.0 + 1e-9])
+    def test_rejects_a_bad_tilt_as_check_tilt_does(self, bad):
+        with pytest.raises(ValueError) as single:
+            _check_tilt(bad)
+        with pytest.raises(ValueError) as policy:
+            TiltPolicy("x", [30.0] * 200 + [bad] + [30.0] * 164)
+        assert str(policy.value) == str(single.value)
+
+    def test_takes_a_numpy_array_as_python_floats(self):
+        tilts = np.linspace(0.0, 90.0, 365)
+        policy = TiltPolicy("x", tilts)
+        assert isinstance(policy.tilts_deg, tuple)
+        assert all(type(t) is float for t in policy.tilts_deg)
+        assert policy.tilts_deg == tuple(tilts.tolist())
+
+    @pytest.mark.parametrize(
+        "lat",
+        [0.1, 2.5, 5.0, 10.0, 15.0, 20.0, 23.45, 25.0, 30.0, 32.7,
+         40.0, 45.0, 50.0, 55.0, 60.0, 66.55, 70.0, 75.0, 80.0, 90.0],
+    )
+    @pytest.mark.parametrize("mode", list(TiltMode))
+    def test_tilts_are_the_per_day_rules(self, lat, mode):
+        loc, days = Location(lat), range(1, 366)
+        seasonal, monthly = seasonal_schedule(loc, mode), monthly_schedule(loc, mode)
+        assert TiltPolicy.seasonal(seasonal).tilts_deg == tuple(map(seasonal.beta_for_day, days))
+        assert TiltPolicy.monthly(monthly).tilts_deg == tuple(map(monthly.beta_for_day, days))
+        assert TiltPolicy.daily(loc).tilts_deg == tuple(daily_tilt(loc, d) for d in days)
