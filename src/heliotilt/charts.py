@@ -26,7 +26,9 @@ from .schedule import (
     MONTH_NAMES,
     SEASON_NAMES,
     TiltMode,
-    daily_tilt_details,
+    _CUM_DAYS,
+    _DAYS,
+    _daily_year,
     monthly_schedule,
     seasonal_schedule,
     tilt_extremes,
@@ -37,8 +39,7 @@ from .schedule import (
 # through format(); a csv format of None keeps the field out of CSV.
 Column = tuple[str, "int | None", "str | None"]
 
-# 21st of each month in the 365-day year
-DEFAULT_CHART_DAYS = (21, 52, 80, 111, 141, 172, 202, 233, 264, 294, 325, 355)
+DEFAULT_CHART_DAYS = tuple(before + 21 for before in _CUM_DAYS)  # the 21st of each month
 
 _OFFSET_NOTES = {
     TiltMode.PAPER: (
@@ -84,11 +85,15 @@ def sunpath_chart(
     above-horizon points, so the first and last samples sit at (or just
     after) sunrise and sunset and the peak lands exactly at hour 12.
     With include_azimuth, a companion compass-azimuth series follows
-    each elevation series. Polar-night days come back empty.
+    each elevation series. Polar-night days come back empty. Each day
+    may appear once, which bounds a chart at 365 days.
     """
     days = tuple(_check_day(d) for d in days)
     if not days:
         raise ValueError("at least one day is required for a sun-path chart")
+    if len(set(days)) < len(days):
+        repeated = next(d for i, d in enumerate(days) if d in days[:i])
+        raise ValueError(f"day {repeated} appears more than once in the sun-path days")
     _check_step(step_minutes)
     out: list[ChartSeries] = []
     half = int(math.floor(12.0 * 60.0 / step_minutes))
@@ -134,15 +139,10 @@ def sunpath_chart(
 
 def tilt_curve(loc: Location) -> ChartSeries:
     """Daily-rule tilt across the whole year as one series (x = day of year)."""
-    values = []
-    clamped_days = 0
-    for day in range(1, 366):
-        detail = daily_tilt_details(loc, day)
-        values.append(detail.tilt_deg)
-        clamped_days += detail.clamped
+    values, clamped_days = _daily_year(loc)
     return ChartSeries(
         name="daily_tilt",
-        x=tuple(float(d) for d in range(1, 366)),
+        x=tuple(map(float, _DAYS)),
         y=tuple(values),
         metadata={
             "latitude_deg": loc.latitude_deg,
@@ -276,6 +276,11 @@ _SVG_W, _SVG_H = 800, 500
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 60, 20, 40, 50
 
 
+def _svg_text(text: str) -> str:
+    """Text escaped for an SVG element: &, < and >."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 def _tick_values(lo: float, hi: float) -> list[float]:
     return [lo + (hi - lo) * i / 4 for i in range(5)]
 
@@ -312,7 +317,7 @@ def render_svg(
         f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {_SVG_W} {_SVG_H}">',
         f'<rect width="{_SVG_W}" height="{_SVG_H}" fill="white"/>',
         f'<text x="{_SVG_W / 2:.2f}" y="24" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="16">{title}</text>',
+        f'font-family="sans-serif" font-size="16">{_svg_text(title)}</text>',
     ]
     axis = (
         f'<line x1="{_MARGIN_L}" y1="{_MARGIN_T}" x2="{_MARGIN_L}" '
@@ -339,12 +344,12 @@ def render_svg(
         )
     out.append(
         f'<text x="{_MARGIN_L + plot_w / 2:.2f}" y="{_SVG_H - 12}" '
-        f'text-anchor="middle" font-family="sans-serif" font-size="13">{x_label}</text>'
+        f'text-anchor="middle" font-family="sans-serif" font-size="13">{_svg_text(x_label)}</text>'
     )
     out.append(
         f'<text x="16" y="{_MARGIN_T + plot_h / 2:.2f}" text-anchor="middle" '
         f'font-family="sans-serif" font-size="13" '
-        f'transform="rotate(-90 16 {_MARGIN_T + plot_h / 2:.2f})">{y_label}</text>'
+        f'transform="rotate(-90 16 {_MARGIN_T + plot_h / 2:.2f})">{_svg_text(y_label)}</text>'
     )
     for i, series in enumerate(series_list):
         if len(series.x) < 2:
@@ -353,7 +358,7 @@ def render_svg(
         coords = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in zip(series.x, series.y))
         out.append(
             f'<polyline fill="none" stroke="{color}" stroke-width="1.5" '
-            f'points="{coords}"><title>{series.name}</title></polyline>'
+            f'points="{coords}"><title>{_svg_text(series.name)}</title></polyline>'
         )
     out.append("</svg>")
     return "\n".join(out) + "\n"

@@ -30,7 +30,7 @@ from .charts import (
     sunpath_chart,
     tilt_curve,
 )
-from .geometry import Location
+from .geometry import DAYS_PER_YEAR, Location
 from .schedule import (
     TiltMode,
     daily_tilt_details,
@@ -63,20 +63,24 @@ def _clean_metadata(metadata: dict) -> dict:
             for k, v in metadata.items()}
 
 
+def _json(args: argparse.Namespace, kind: str, fields: dict) -> str:
+    """A JSON payload: its kind and the site latitude, then the command's fields."""
+    return render_json({"kind": kind, "latitude_deg": args.lat, **fields})
+
+
 def _one_row(args: argparse.Namespace, kind: str, columns, row: tuple) -> str:
     """A one-row table as CSV, or its fields as one flat JSON object."""
     if args.format == "csv":
         return render_csv(columns, [row])
-    (fields,) = json_rows(columns, [row])
-    return render_json({"kind": kind, "latitude_deg": args.lat, **fields})
+    return _json(args, kind, json_rows(columns, [row])[0])
 
 
 def _cmd_sun(args: argparse.Namespace) -> str:
     rows = sun_day_rows(Location(args.lat), args.day, args.step)
     if args.format == "csv":
         return render_csv(SUN_COLUMNS, rows)
-    head = {"kind": "sun", "latitude_deg": args.lat, "day": args.day, "step_minutes": args.step}
-    return render_json({**head, "rows": json_rows(SUN_COLUMNS, rows)})
+    fields = {"day": args.day, "step_minutes": args.step, "rows": json_rows(SUN_COLUMNS, rows)}
+    return _json(args, "sun", fields)
 
 
 def _cmd_tilt(args: argparse.Namespace) -> str:
@@ -105,17 +109,11 @@ def _cmd_schedule(args: argparse.Namespace) -> str:
             rows = [(name, r) for (name, _), r in zip(table.rows, rounded)]
             return render_csv((label, ("tilt_deg", None, "d")), rows)
         return render_csv((label, TILT), table.rows)
-    payload = {
-        "kind": "schedule",
-        "latitude_deg": args.lat,
-        "mode": table.mode.value,
-        "granularity": table.granularity,
-        "rows": json_rows((("period", None, ""), TILT), table.rows),
-    }
-    if seasonal:
-        payload["rounded_deg"] = rounded
-    payload["metadata"] = _clean_metadata(table.metadata)
-    return render_json(payload)
+    rows = json_rows((("period", None, ""), TILT), table.rows)
+    extra = {"rounded_deg": rounded} if seasonal else {}
+    return _json(args, "schedule", {"mode": table.mode.value, "granularity": table.granularity,
+                                    "rows": rows, **extra,
+                                    "metadata": _clean_metadata(table.metadata)})
 
 
 def _cmd_optimize(args: argparse.Namespace) -> str:
@@ -138,9 +136,8 @@ def _cmd_gains(args: argparse.Namespace) -> str:
     if args.format == "csv":
         return render_csv(GAIN_COLUMNS, rows)
     baseline, *policies = json_rows(GAIN_COLUMNS, rows)
-    payload = {"kind": "gains", "latitude_deg": args.lat, "mode": report.mode.value,
-               "step_minutes": args.step, "baseline": baseline, "policies": policies}
-    return render_json(payload)
+    return _json(args, "gains", {"mode": report.mode.value, "step_minutes": args.step,
+                                 "baseline": baseline, "policies": policies})
 
 
 def _parse_days(text: str) -> tuple[int, ...]:
@@ -166,18 +163,12 @@ def _cmd_chart(args: argparse.Namespace) -> str:
     if args.format == "svg":
         return render_svg(series, title, x_label, "degrees")
     _, x_column, y_column = CHART_COLUMNS
-    payload = {
-        "kind": "chart",
-        "latitude_deg": args.lat,
-        "chart": args.kind,
-        **head,
-        "series": [
-            {"name": s.name, "x": json_column(x_column, s.x), "y": json_column(y_column, s.y),
-             "metadata": _clean_metadata(s.metadata)}
-            for s in series
-        ],
-    }
-    return render_json(payload)
+    printed = [
+        {"name": s.name, "x": json_column(x_column, s.x), "y": json_column(y_column, s.y),
+         "metadata": _clean_metadata(s.metadata)}
+        for s in series
+    ]
+    return _json(args, "chart", {"chart": args.kind, **head, "series": printed})
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -211,15 +202,18 @@ def _build_parser() -> argparse.ArgumentParser:
             "--step", type=float, default=1.0, help=f"{kind} step, 0.1 to 120 minutes (default 1)"
         )
 
+    def add_mode(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--mode", choices=[m.value for m in TiltMode], default=TiltMode.PAPER.value)
+
     sun = add_command("sun", "sun positions through one day", _cmd_sun)
-    sun.add_argument("--day", type=int, required=True, help="day of year, 1 to 365")
+    sun.add_argument("--day", type=int, required=True, help=f"day of year, 1 to {DAYS_PER_YEAR}")
     add_step(sun, "sample")
     sun.add_argument("--format", choices=("json", "csv"), default="json")
 
     tilt = add_command("tilt", "tilt for one day or one month", _cmd_tilt)
     tilt.add_argument("--day", type=int, default=None, help="day of year for the daily rule")
     tilt.add_argument("--month", type=int, default=None, help="month number for the monthly table")
-    tilt.add_argument("--mode", choices=("paper", "exact"), default="paper")
+    add_mode(tilt)
     tilt.add_argument(
         "--simplified",
         action="store_true",
@@ -229,21 +223,22 @@ def _build_parser() -> argparse.ArgumentParser:
 
     schedule = add_command("schedule", "monthly or seasonal tilt table", _cmd_schedule)
     schedule.add_argument("--granularity", choices=("monthly", "seasonal"), default="monthly")
-    schedule.add_argument("--mode", choices=("paper", "exact"), default="paper")
+    add_mode(schedule)
     schedule.add_argument("--format", choices=("json", "csv"), default="json")
 
     optimize = add_command(
         "optimize", "best fixed tilt over a day range", _cmd_optimize
     )
     optimize.add_argument("--start-day", type=int, default=1, help="first day (default 1)")
-    optimize.add_argument("--end-day", type=int, default=365, help="last day (default 365)")
+    optimize.add_argument("--end-day", type=int, default=DAYS_PER_YEAR,
+                          help="last day (default %(default)s)")
     add_step(optimize, "integration")
     optimize.add_argument("--format", choices=("json", "csv"), default="json")
 
     gains = add_command(
         "gains", "annual energy of each policy against the fixed baseline", _cmd_gains
     )
-    gains.add_argument("--mode", choices=("paper", "exact"), default="paper")
+    add_mode(gains)
     add_step(gains, "integration")
     gains.add_argument("--format", choices=("json", "csv"), default="json")
 

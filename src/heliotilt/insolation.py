@@ -27,6 +27,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .geometry import (
+    DAYS_PER_YEAR,
     Location,
     _check_day,
     _check_step,
@@ -43,7 +44,7 @@ AIR_MASS_EXPONENT = 0.678
 ZENITH_CAP_DEG = 89.0
 _SIN_CAP = math.sin(math.radians(90.0 - ZENITH_CAP_DEG))  # sin(elev) at the zenith cap
 
-FULL_YEAR = (1, 365)
+FULL_YEAR = (1, DAYS_PER_YEAR)
 _BLOCK_SAMPLES = 1 << 14  # a grid block holds the days that start in one such window
 
 

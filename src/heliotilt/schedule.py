@@ -58,6 +58,8 @@ _MONTH_INDEX = tuple(bisect.bisect_left(_CUM_DAYS, d) - 1 for d in _DAYS)  # 0 =
 
 SEASON_NAMES = ("winter", "spring", "summer", "fall")
 SEASON_MONTHS = ((1, 2, 3), (4, 5, 6), (7, 8, 9), (10, 11, 12))
+_SEASON_OF_MONTH = {m: s for s, months in enumerate(SEASON_MONTHS) for m in months}  # 0 = winter
+_SEASON_INDEX = tuple(_SEASON_OF_MONTH[m + 1] for m in _MONTH_INDEX)  # of each day
 
 # As-published monthly offsets, January first. Added to latitude.
 PAPER_OFFSETS_DEG = (
@@ -85,7 +87,7 @@ def month_of_day(day: int) -> int:
 
 def season_of_day(day: int) -> int:
     """Season number (1..4) for a day: Jan-Mar=1, Apr-Jun=2, Jul-Sep=3, Oct-Dec=4."""
-    return (month_of_day(day) - 1) // 3 + 1
+    return _SEASON_INDEX[_check_day(day) - 1] + 1
 
 
 def _require_northern(loc: Location) -> float:
@@ -125,11 +127,17 @@ def daily_tilt_details(loc: Location, day: int, *, simplified: bool = False) -> 
     The raw rule is latitude minus declination; at low latitudes the
     summer value goes negative and is clamped to a flat panel.
     """
+    phi = _require_northern(loc)  # before the day check
+    raw = phi - (declination_simplified(day) if simplified else declination_exact(day))
+    return TiltValue(_clamp_tilt(raw), not 0.0 <= raw <= 90.0)
+
+
+def _daily_year(loc: Location) -> tuple[list[float], int]:
+    """The daily rule over the year: 365 tilts, day 1 first, and how many the clamp changed."""
     phi = _require_northern(loc)
-    decl = declination_simplified(day) if simplified else declination_exact(day)
-    raw = phi - decl
-    clamped = _clamp_tilt(raw)
-    return TiltValue(clamped, clamped != raw)
+    raws = [phi - _declination(d) for d in _DAYS]
+    clamped_days = sum(not 0.0 <= r <= 90.0 for r in raws)
+    return ([_clamp_tilt(r) for r in raws] if clamped_days else raws), clamped_days
 
 
 def daily_tilt(loc: Location, day: int, *, simplified: bool = False) -> float:
@@ -201,7 +209,7 @@ def seasonal_schedule(loc: Location, mode: TiltMode = TiltMode.PAPER) -> Seasona
     """Seasonal tilts as means of the monthly schedule in blocks of three."""
     monthly = monthly_schedule(loc, mode)
     betas = tuple(
-        sum(monthly.betas_deg[m - 1] for m in months) / 3.0
+        sum(monthly.betas_deg[m - 1] for m in months) / len(months)
         for months in SEASON_MONTHS
     )
     deltas = tuple(b - monthly.latitude_deg for b in betas)
@@ -238,7 +246,7 @@ class TiltPolicy:
 
     @classmethod
     def seasonal(cls, schedule: SeasonalSchedule) -> "TiltPolicy":
-        tilts = [schedule.betas_deg[m // 3] for m in _MONTH_INDEX]  # three months a season
+        tilts = [schedule.betas_deg[s] for s in _SEASON_INDEX]
         return cls(f"seasonal({schedule.mode.value})", tilts)
 
     @classmethod
@@ -247,5 +255,4 @@ class TiltPolicy:
 
     @classmethod
     def daily(cls, loc: Location) -> "TiltPolicy":
-        phi = _require_northern(loc)  # daily_tilt of each day
-        return cls("daily", [_clamp_tilt(phi - _declination(d)) for d in _DAYS])
+        return cls("daily", _daily_year(loc)[0])

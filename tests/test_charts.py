@@ -2,6 +2,7 @@
 import json
 import math
 import pathlib
+import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from heliotilt import (
     TiltMode,
     compass_azimuth,
     daily_tilt,
+    daily_tilt_details,
     monthly_schedule,
     schedule_table,
     sun_day_rows,
@@ -55,6 +57,7 @@ class TestSunpathChart:
         series = sunpath_chart(SITE, step_minutes=30.0)
         assert len(series) == 12
         assert [s.metadata["day"] for s in series] == list(DEFAULT_CHART_DAYS)
+        assert DEFAULT_CHART_DAYS == (21, 52, 80, 111, 141, 172, 202, 233, 264, 294, 325, 355)
 
     @pytest.mark.parametrize("step", [1.0, 7.2])
     @pytest.mark.parametrize(
@@ -137,6 +140,12 @@ class TestSunpathChart:
         with pytest.raises(ValueError):
             sunpath_chart(SITE, (81, 400))
 
+    @pytest.mark.parametrize("days", [(81, 81), (172, 81, 355, 81), (81,) * 40])
+    def test_rejects_a_repeated_day_by_name(self, days):
+        # each day once, so a chart holds at most 365 series of samples
+        with pytest.raises(ValueError, match="day 81 appears more than once"):
+            sunpath_chart(SITE, days, step_minutes=0.1)
+
 
 class TestTiltCurve:
     def test_covers_whole_year(self):
@@ -158,6 +167,20 @@ class TestTiltCurve:
         clamped = tilt_curve(Location(5.0))
         assert clamped.metadata["clamped_days"] > 0
         assert clamped.metadata["min_deg"] == 0.0
+
+    @pytest.mark.parametrize("lat", [5.0, 23.45, 32.7, 66.55, 90.0])
+    def test_is_the_per_day_rule_on_every_day(self, lat):
+        # at 90 N day 81's raw tilt is exactly 90.0 and not clamped, so
+        # counting the tilts that sit at 0 or 90 would be one too many
+        loc = Location(lat)
+        series = tilt_curve(loc)
+        days = range(1, 366)
+        assert series.x == tuple(map(float, days))
+        assert series.y == tuple(daily_tilt(loc, d) for d in days)
+        clamped = sum(daily_tilt_details(loc, d).clamped for d in days)
+        assert series.metadata["clamped_days"] == clamped
+        assert series.metadata["min_deg"] == min(series.y)
+        assert series.metadata["max_deg"] == max(series.y)
 
     def test_shape_is_shifted_sine(self):
         # y(d) = lat - 23.45 sin(2 pi (d - 81) / 365) when nothing clamps
@@ -306,6 +329,13 @@ class TestSvgRendering:
         svg = render_svg([], "empty", "x", "y")
         assert svg.startswith("<svg ")
         assert "<polyline" not in svg
+
+    def test_escapes_markup_in_text(self):
+        series = [ChartSeries("a<b & c>", (1.0, 2.0), (0.0, 1.0))]
+        svg = render_svg(series, "Sun & shade", "x <hours>", "y & z")
+        root = ET.fromstring(svg)
+        texts = [e.text for e in root.iter() if e.tag.endswith(("text", "title"))]
+        assert {"Sun & shade", "x <hours>", "y & z", "a<b & c>"} <= set(texts)
 
     def test_skips_degenerate_series(self):
         one_point = ChartSeries("dot", (1.0,), (2.0,))

@@ -332,6 +332,12 @@ class TestChartCommand:
             "day_081", "day_081_az", "day_172", "day_172_az",
         ]
 
+    def test_repeated_day_is_one_error_line(self, capsys):
+        code, out, err = run(capsys, "chart", "--lat", "32.7", "--days", "81,172,81")
+        assert code == 1
+        assert out == ""
+        assert err == "error: day 81 appears more than once in the sun-path days\n"
+
     def test_bad_day_list_is_usage_error(self, capsys):
         for days in ("21,x", ""):
             code, out, err = run(capsys, "chart", "--lat", "32.7", "--days", days)

@@ -647,6 +647,22 @@ class TestSampleGrid:
                 ends = full_day_grid(lat, day, 1.0)[2][[0, -1]]
                 assert grid.weight[start] == pytest.approx(ends.sum(), rel=1e-12, abs=0.0)
 
+    @pytest.mark.parametrize("lat", SWEEP_LATITUDES)
+    def test_cut_offs_run_up_a_prefix_of_each_day(self, lat):
+        # what a per-day table of segment sums with no sort would rest on:
+        # on each lit day, read from sunset back to noon, the samples with
+        # horiz < 0 come first, and their cut-off atan2(vert, -horiz) never
+        # falls along them
+        for step in (0.1, 1.0, 7.5, 30.0, 120.0):
+            grid = _sample_days(Location(lat), (1, 365), IrradianceModel(step))
+            day = np.repeat(np.arange(grid.counts.size), grid.counts)
+            same_day = day[1:] == day[:-1]
+            behind = grid.horiz < 0.0
+            assert not np.any(same_day & behind[1:] & ~behind[:-1])
+            cut = np.arctan2(grid.vert, -grid.horiz)
+            both = same_day & behind[1:] & behind[:-1]
+            assert np.all(cut[1:][both] >= cut[:-1][both])
+
     @pytest.mark.parametrize("lat,period", [(32.7, (1, 365)), (70.0, (150, 200))])
     def test_days_either_side_of_a_block_edge(self, lat, period):
         # a block holds the days that start in one window of samples, so

@@ -264,6 +264,14 @@ class TestCalendarHelpers:
         assert season_of_day(274) == 4
         assert season_of_day(365) == 4
 
+    @pytest.mark.parametrize("mode", list(TiltMode))
+    def test_seasonal_policy_agrees_with_season_of_day(self, mode):
+        seasonal = seasonal_schedule(SITE, mode)
+        assert len(set(seasonal.betas_deg)) == 4  # a wrong season shows
+        tilts = TiltPolicy.seasonal(seasonal).tilts_deg
+        for day in range(1, 366):
+            assert tilts[day - 1] == seasonal.betas_deg[season_of_day(day) - 1]
+
 
 class TestTiltExtremes:
     def test_reference_site_both_modes(self):
