@@ -18,9 +18,9 @@ from .geometry import (
     _angles,
     _check_day,
     _check_step,
+    _declination,
     _up_south,
     compass_azimuth,
-    declination_exact,
 )
 from .schedule import (
     MONTH_NAMES,
@@ -29,9 +29,8 @@ from .schedule import (
     _CUM_DAYS,
     _DAYS,
     _daily_year,
+    _seasonal,
     monthly_schedule,
-    seasonal_schedule,
-    tilt_extremes,
 )
 
 # A printed field: (name, digits, csv format). JSON prints
@@ -40,6 +39,7 @@ from .schedule import (
 Column = tuple[str, "int | None", "str | None"]
 
 DEFAULT_CHART_DAYS = tuple(before + 21 for before in _CUM_DAYS)  # the 21st of each month
+_CSV_SPECIAL = (",", '"', "\n", "\r")
 
 _OFFSET_NOTES = {
     TiltMode.PAPER: (
@@ -105,7 +105,7 @@ def sunpath_chart(
     phi = math.radians(loc.latitude_deg)
     sin_phi, cos_phi = math.sin(phi), math.cos(phi)
     for day in days:
-        delta = math.radians(declination_exact(day))
+        delta = math.radians(_declination(day))
         sin_d, cos_d = math.sin(delta), math.cos(delta)
         xs, elev, az = [], [], []
         for hour, cos_w, sin_w in samples:
@@ -193,17 +193,13 @@ def schedule_table(
     offset basis, including the 1 deg paper-vs-exact minimum difference.
     """
     mode = TiltMode(mode)
+    if granularity not in ("monthly", "seasonal"):
+        raise ValueError(f"granularity must be 'monthly' or 'seasonal', got {granularity!r}")
+    monthly = monthly_schedule(loc, mode)
     if granularity == "monthly":
-        schedule = monthly_schedule(loc, mode)
-        rows = tuple(zip(MONTH_NAMES, schedule.betas_deg))
-    elif granularity == "seasonal":
-        seasonal = seasonal_schedule(loc, mode)
-        rows = tuple(zip(SEASON_NAMES, seasonal.betas_deg))
+        rows = tuple(zip(MONTH_NAMES, monthly.betas_deg))
     else:
-        raise ValueError(
-            f"granularity must be 'monthly' or 'seasonal', got {granularity!r}"
-        )
-    lo, hi = tilt_extremes(loc, mode)
+        rows = tuple(zip(SEASON_NAMES, _seasonal(monthly).betas_deg))
     return ScheduleTable(
         granularity=granularity,
         mode=mode,
@@ -211,8 +207,8 @@ def schedule_table(
         metadata={
             "latitude_deg": loc.latitude_deg,
             "mode": mode.value,
-            "tilt_min_deg": lo,
-            "tilt_max_deg": hi,
+            "tilt_min_deg": min(monthly.betas_deg),
+            "tilt_max_deg": max(monthly.betas_deg),
             "offset_note": _OFFSET_NOTES[mode],
         },
     )
@@ -248,17 +244,28 @@ def json_rows(columns: tuple[Column, ...], rows) -> list[dict]:
     return [dict(zip(names, row)) for row in zip(*values)]
 
 
+def _csv_quoted(cells: list[str]) -> list[str]:
+    """RFC 4180: a cell holding a comma, a quote or a line break is wrapped in
+    quotes, its own quotes doubled. One scan of the joined column finds none
+    in every column the CLI prints."""
+    joined = "".join(cells)
+    if not any(ch in joined for ch in _CSV_SPECIAL):
+        return cells
+    return ['"' + c.replace('"', '""') + '"' if any(ch in c for ch in _CSV_SPECIAL) else c
+            for c in cells]
+
+
 def render_csv(columns: tuple[Column, ...], rows) -> str:
     """A header and one LF-terminated line per row, skipping JSON-only columns.
 
-    Cells are formatted a column at a time, which keeps long sun-path
-    charts cheap.
+    Cells are formatted and quoted a column at a time, which keeps long
+    sun-path charts cheap.
     """
     shown = [c for c in columns if c[2] is not None]
     cells = [
-        _csv_cells(c, col) for c, col in zip(columns, zip(*rows)) if c[2] is not None
+        _csv_quoted(_csv_cells(c, col)) for c, col in zip(columns, zip(*rows)) if c[2] is not None
     ]
-    lines = [",".join(name for name, _, _ in shown), *map(",".join, zip(*cells))]
+    lines = [",".join(_csv_quoted([name for name, _, _ in shown])), *map(",".join, zip(*cells))]
     return "\n".join(lines) + "\n"
 
 
@@ -292,14 +299,9 @@ def render_svg(
     y_label: str,
 ) -> str:
     """Minimal self-contained SVG line chart (fixed 800x500 canvas)."""
-    pts = [(x, y) for s in series_list for x, y in zip(s.x, s.y)]
-    if pts:
-        x_lo = min(p[0] for p in pts)
-        x_hi = max(p[0] for p in pts)
-        y_lo = min(p[1] for p in pts)
-        y_hi = max(p[1] for p in pts)
-    else:
-        x_lo, x_hi, y_lo, y_hi = 0.0, 1.0, 0.0, 1.0
+    xs = [x for s in series_list for x in s.x]
+    ys = [y for s in series_list for y in s.y]
+    x_lo, x_hi, y_lo, y_hi = (min(xs), max(xs), min(ys), max(ys)) if xs else (0.0, 1.0, 0.0, 1.0)
     if x_hi <= x_lo:
         x_hi = x_lo + 1.0
     if y_hi <= y_lo:

@@ -87,6 +87,8 @@ def _cmd_tilt(args: argparse.Namespace) -> str:
     loc = Location(args.lat)
     if (args.day is None) == (args.month is None):
         raise UsageError("exactly one of --day or --month is required")
+    if args.simplified and args.month is not None:
+        raise UsageError("--simplified applies only to --day")
     if args.day is not None:
         value, clamped = daily_tilt_details(loc, args.day, simplified=args.simplified)
         columns, row = TILT_DAY_COLUMNS, ("daily", args.day, value, clamped)
@@ -155,6 +157,8 @@ def _cmd_chart(args: argparse.Namespace) -> str:
         days = DEFAULT_CHART_DAYS if args.days is None else _parse_days(args.days)
         series = sunpath_chart(loc, days, args.step, include_azimuth=args.azimuth)
         title, x_label, head = "Sun path", "solar hour", {"step_minutes": args.step}
+    elif args.days is not None or args.azimuth:
+        raise UsageError("--days and --azimuth apply only to --kind sunpath")
     else:
         series, title, x_label, head = [tilt_curve(loc)], "Daily tilt", "day of year", {}
     if args.format == "csv":

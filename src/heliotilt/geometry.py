@@ -149,9 +149,8 @@ def _sun_vector(
     up, south and west are the sun's unit vector in the local horizon
     frame: _up_south, and west = cos(delta) sin(omega).
     """
-    d = _check_day(day)
+    decl = _declination(_check_day(day))
     _check_hour_angle(hour_angle_deg)
-    decl = declination_exact(d)
     phi, delta, omega = map(math.radians, (loc.latitude_deg, decl, hour_angle_deg))
     cos_d = math.cos(delta)
     up, south = _up_south(math.sin(phi), math.cos(phi), math.sin(delta), cos_d, math.cos(omega))

@@ -36,7 +36,7 @@ from .geometry import (
     _sunset_angle,
     _up_south,
 )
-from .schedule import TiltMode, TiltPolicy, _check_tilt, monthly_schedule, seasonal_schedule
+from .schedule import TiltMode, TiltPolicy, _check_tilt, _seasonal, monthly_schedule
 
 SOLAR_CONSTANT_W_M2 = 1353.0
 TRANSMITTANCE = 0.7
@@ -284,7 +284,13 @@ def optimize_fixed_tilt(
     model: IrradianceModel | None = None,
 ) -> OptimalTilt:
     """Best single fixed tilt over a day range, exact for the sampled model
-    (_best_tilt); ties go to the lower tilt. The panel faces south at any latitude."""
+    (_best_tilt); ties go to the lower tilt.
+
+    The panel faces south at any latitude, so south of the equator the
+    answer is a flat panel down to 87 S (0 deg at 10 S and 33.9 S), not
+    the best tilt of an equator-facing one; ROADMAP.md item 5 plans that
+    mirror.
+    """
     grid = _sample_days(loc, _check_period(period), model)
     tilt = _best_tilt(grid)
     return OptimalTilt(tilt, _energy(grid, tilt))
@@ -304,9 +310,10 @@ def gain_report(
     small extra gains over it are expected as well).
     """
     mode = TiltMode(mode)
+    monthly = monthly_schedule(loc, mode)
     policies = (
-        TiltPolicy.seasonal(seasonal_schedule(loc, mode)),
-        TiltPolicy.monthly(monthly_schedule(loc, mode)),
+        TiltPolicy.seasonal(_seasonal(monthly)),
+        TiltPolicy.monthly(monthly),
         TiltPolicy.daily(loc),
         TiltPolicy.fixed(loc.latitude_deg),
     )

@@ -207,11 +207,11 @@ class SeasonalSchedule:
 
 def seasonal_schedule(loc: Location, mode: TiltMode = TiltMode.PAPER) -> SeasonalSchedule:
     """Seasonal tilts as means of the monthly schedule in blocks of three."""
-    monthly = monthly_schedule(loc, mode)
-    betas = tuple(
-        sum(monthly.betas_deg[m - 1] for m in months) / len(months)
-        for months in SEASON_MONTHS
-    )
+    return _seasonal(monthly_schedule(loc, mode))
+
+
+def _seasonal(monthly: MonthlySchedule) -> SeasonalSchedule:
+    betas = tuple(sum(monthly.betas_deg[m - 1] for m in months) / 3 for months in SEASON_MONTHS)
     deltas = tuple(b - monthly.latitude_deg for b in betas)
     return SeasonalSchedule(monthly.latitude_deg, monthly.mode, betas, deltas)
 

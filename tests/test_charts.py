@@ -1,4 +1,6 @@
 """Chart series, schedule tables, and the CSV/JSON/SVG renderings."""
+import csv
+import io
 import json
 import math
 import pathlib
@@ -21,7 +23,9 @@ from heliotilt import (
     sun_position,
     sunpath_chart,
     tilt_curve,
+    tilt_extremes,
 )
+from heliotilt import charts, schedule
 from heliotilt.charts import fmt_angle, render_csv, render_json, render_svg
 from heliotilt.cli import CHART_COLUMNS, SUN_COLUMNS, main
 
@@ -223,6 +227,32 @@ class TestScheduleTable:
         with pytest.raises(ValueError):
             schedule_table(SITE, "weekly", TiltMode.PAPER)
 
+    @pytest.mark.parametrize("granularity", ["monthly", "seasonal"])
+    def test_builds_the_monthly_schedule_once(self, monkeypatch, granularity):
+        # counted through both names, so a build inside seasonal_schedule or
+        # tilt_extremes counts too
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return build(*args)
+
+        build = schedule.monthly_schedule
+        for module in (schedule, charts):
+            monkeypatch.setattr(module, "monthly_schedule", counted)
+        schedule_table(SITE, granularity, TiltMode.EXACT)
+        assert calls == [(SITE, TiltMode.EXACT)]
+
+    @pytest.mark.parametrize("granularity", ["monthly", "seasonal"])
+    @pytest.mark.parametrize("mode", list(TiltMode))
+    def test_extremes_are_the_monthly_extremes(self, granularity, mode):
+        # a seasonal table keeps the monthly extremes, not its own rows'
+        for lat in (0.1, 2.5, 5.0, 10.0, 15.0, 20.0, 23.45, 25.0, 30.0, 32.7,
+                    40.0, 45.0, 50.0, 55.0, 60.0, 66.55, 70.0, 75.0, 80.0, 90.0):
+            loc = Location(lat)
+            meta = schedule_table(loc, granularity, mode).metadata
+            assert (meta["tilt_min_deg"], meta["tilt_max_deg"]) == tilt_extremes(loc, mode)
+
 
 class TestNumberFormatting:
     def test_angles_always_two_decimals(self):
@@ -291,6 +321,14 @@ class TestCsvRendering:
         ]
         rows = [(s.name, x, y) for s in series for x, y in zip(s.x, s.y)]
         assert render_csv(CHART_COLUMNS, rows) == original
+
+    def test_text_cells_are_quoted_and_read_back(self):
+        names = ["a,b", 'say "hi"', "two\nlines", "cr\r", "plain"]
+        text = render_csv(CHART_COLUMNS, [(name, 1.0, 2.0) for name in names])
+        rows = list(csv.reader(io.StringIO(text, newline="")))
+        assert rows == [["series", "x", "y"], *([name, "1", "2.00"] for name in names)]
+        assert text.splitlines()[1] == '"a,b",1,2.00'
+        assert text.endswith("\nplain,1,2.00\n")
 
     def test_sun_csv_header_and_equinox_rows(self):
         text = render_csv(SUN_COLUMNS, sun_day_rows(SITE, 81, 120.0))

@@ -161,6 +161,12 @@ class TestTiltCommand:
         assert code == 2
         assert "usage error" in err
 
+    def test_simplified_with_month_is_usage_error(self, capsys):
+        # the monthly table has no declination to simplify
+        code, out, err = run(capsys, "tilt", "--lat", "32.7", "--month", "7", "--simplified")
+        assert (code, out) == (2, "")
+        assert err == "usage error: --simplified applies only to --day\n"
+
 
 class TestScheduleCommand:
     def test_seasonal_paper_csv_matches_golden(self, capsys):
@@ -337,6 +343,12 @@ class TestChartCommand:
         assert code == 1
         assert out == ""
         assert err == "error: day 81 appears more than once in the sun-path days\n"
+
+    @pytest.mark.parametrize("flags", [("--days", "81,81"), ("--azimuth",), ("--days", "81")])
+    def test_sunpath_flags_on_a_tilt_chart_are_usage_errors(self, capsys, flags):
+        code, out, err = run(capsys, "chart", "--lat", "32.7", "--kind", "tilt", *flags)
+        assert (code, out) == (2, "")
+        assert err == "usage error: --days and --azimuth apply only to --kind sunpath\n"
 
     def test_bad_day_list_is_usage_error(self, capsys):
         for days in ("21,x", ""):

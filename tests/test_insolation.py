@@ -31,6 +31,7 @@ from heliotilt import (
     sun_position,
     sunrise_hour_angle,
 )
+from heliotilt import insolation, schedule
 from heliotilt.insolation import (
     SOLAR_CONSTANT_W_M2,
     _BLOCK_SAMPLES,
@@ -753,6 +754,21 @@ class TestGainReport:
 
         with pytest.raises(UnsupportedHemisphereError):
             gain_report(Location(-33.0), FAST)
+
+    def test_builds_the_monthly_schedule_once(self, monkeypatch):
+        # one build serves the seasonal and the monthly policy; counted
+        # through both names, so a build inside seasonal_schedule counts too
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return build(*args)
+
+        build = schedule.monthly_schedule
+        for module in (schedule, insolation):
+            monkeypatch.setattr(module, "monthly_schedule", counted)
+        gain_report(SITE, IrradianceModel(time_step_minutes=60.0), TiltMode.EXACT)
+        assert calls == [(SITE, TiltMode.EXACT)]
 
 
 class TestPolicyTilts:
