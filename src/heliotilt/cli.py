@@ -65,7 +65,7 @@ def _clean_metadata(metadata: dict) -> dict:
 
 def _json(args: argparse.Namespace, kind: str, fields: dict) -> str:
     """A JSON payload: its kind and the site latitude, then the command's fields."""
-    return render_json({"kind": kind, "latitude_deg": args.lat, **fields})
+    return render_json({"kind": kind, "latitude_deg": args.lat + 0.0, **fields})
 
 
 def _one_row(args: argparse.Namespace, kind: str, columns, row: tuple) -> str:
@@ -89,12 +89,15 @@ def _cmd_tilt(args: argparse.Namespace) -> str:
         raise UsageError("exactly one of --day or --month is required")
     if args.simplified and args.month is not None:
         raise UsageError("--simplified applies only to --day")
+    if args.day is not None and args.mode is not None:
+        raise UsageError("--mode applies only to --month")
     if args.day is not None:
         value, clamped = daily_tilt_details(loc, args.day, simplified=args.simplified)
         columns, row = TILT_DAY_COLUMNS, ("daily", args.day, value, clamped)
     else:
-        value = monthly_schedule(loc, TiltMode(args.mode)).beta_for_month(args.month)
-        columns, row = TILT_MONTH_COLUMNS, ("monthly", args.month, args.mode, value)
+        mode = TiltMode(args.mode or TiltMode.PAPER)
+        value = monthly_schedule(loc, mode).beta_for_month(args.month)
+        columns, row = TILT_MONTH_COLUMNS, ("monthly", args.month, mode.value, value)
     if args.format == "text":
         return fmt_angle(value) + "\n"
     return _one_row(args, "tilt", columns, row)
@@ -154,11 +157,14 @@ def _parse_days(text: str) -> tuple[int, ...]:
 def _cmd_chart(args: argparse.Namespace) -> str:
     loc = Location(args.lat)
     if args.kind == "sunpath":
+        step = 1.0 if args.step is None else args.step
         days = DEFAULT_CHART_DAYS if args.days is None else _parse_days(args.days)
-        series = sunpath_chart(loc, days, args.step, include_azimuth=args.azimuth)
-        title, x_label, head = "Sun path", "solar hour", {"step_minutes": args.step}
+        series = sunpath_chart(loc, days, step, include_azimuth=args.azimuth)
+        title, x_label, head = "Sun path", "solar hour", {"step_minutes": step}
     elif args.days is not None or args.azimuth:
         raise UsageError("--days and --azimuth apply only to --kind sunpath")
+    elif args.step is not None:
+        raise UsageError("--step applies only to --kind sunpath")
     else:
         series, title, x_label, head = [tilt_curve(loc)], "Daily tilt", "day of year", {}
     if args.format == "csv":
@@ -182,7 +188,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
 
-    def add_command(name: str, help_text: str, handler) -> argparse.ArgumentParser:
+    def add_command(name: str, help_text: str, handler,
+                    formats=("json", "csv")) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text, description=help_text)
         p.add_argument(
             "--lat",
@@ -194,41 +201,37 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--out",
             type=Path,
-            default=None,
             metavar="PATH",
             help="write to this file instead of stdout",
         )
+        p.add_argument("--format", choices=formats, default=formats[0])
         p.set_defaults(handler=handler)
         return p
 
-    def add_step(p: argparse.ArgumentParser, kind: str) -> None:
-        p.add_argument(
-            "--step", type=float, default=1.0, help=f"{kind} step, 0.1 to 120 minutes (default 1)"
-        )
+    def add_step(p: argparse.ArgumentParser, kind: str, default: float | None = 1.0) -> None:
+        p.add_argument("--step", type=float, default=default,
+                       help=f"{kind} step, 0.1 to 120 minutes (default 1)")
 
-    def add_mode(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--mode", choices=[m.value for m in TiltMode], default=TiltMode.PAPER.value)
+    def add_mode(p: argparse.ArgumentParser, default: str | None = TiltMode.PAPER.value) -> None:
+        p.add_argument("--mode", choices=[m.value for m in TiltMode], default=default)
 
     sun = add_command("sun", "sun positions through one day", _cmd_sun)
     sun.add_argument("--day", type=int, required=True, help=f"day of year, 1 to {DAYS_PER_YEAR}")
     add_step(sun, "sample")
-    sun.add_argument("--format", choices=("json", "csv"), default="json")
 
-    tilt = add_command("tilt", "tilt for one day or one month", _cmd_tilt)
-    tilt.add_argument("--day", type=int, default=None, help="day of year for the daily rule")
-    tilt.add_argument("--month", type=int, default=None, help="month number for the monthly table")
-    add_mode(tilt)
+    tilt = add_command("tilt", "tilt for one day or one month", _cmd_tilt, ("text", "json", "csv"))
+    tilt.add_argument("--day", type=int, help="day of year for the daily rule")
+    tilt.add_argument("--month", type=int, help="month number for the monthly table")
+    add_mode(tilt, default=None)
     tilt.add_argument(
         "--simplified",
         action="store_true",
         help="use the simplified declination in the daily rule",
     )
-    tilt.add_argument("--format", choices=("text", "json", "csv"), default="text")
 
     schedule = add_command("schedule", "monthly or seasonal tilt table", _cmd_schedule)
     schedule.add_argument("--granularity", choices=("monthly", "seasonal"), default="monthly")
     add_mode(schedule)
-    schedule.add_argument("--format", choices=("json", "csv"), default="json")
 
     optimize = add_command(
         "optimize", "best fixed tilt over a day range", _cmd_optimize
@@ -237,28 +240,25 @@ def _build_parser() -> argparse.ArgumentParser:
     optimize.add_argument("--end-day", type=int, default=DAYS_PER_YEAR,
                           help="last day (default %(default)s)")
     add_step(optimize, "integration")
-    optimize.add_argument("--format", choices=("json", "csv"), default="json")
 
     gains = add_command(
         "gains", "annual energy of each policy against the fixed baseline", _cmd_gains
     )
     add_mode(gains)
     add_step(gains, "integration")
-    gains.add_argument("--format", choices=("json", "csv"), default="json")
 
-    chart = add_command("chart", "sun-path or tilt-curve chart data", _cmd_chart)
+    chart = add_command("chart", "sun-path or tilt-curve chart data", _cmd_chart,
+                        ("json", "csv", "svg"))
     chart.add_argument("--kind", choices=("sunpath", "tilt"), default="sunpath")
     chart.add_argument(
         "--days",
-        default=None,
         metavar="D1,D2,...",
         help="days of year for the sun path (default: the 21st of each month)",
     )
-    add_step(chart, "sample")
+    add_step(chart, "sample", default=None)
     chart.add_argument(
         "--azimuth", action="store_true", help="add compass-azimuth series"
     )
-    chart.add_argument("--format", choices=("json", "csv", "svg"), default="json")
 
     return parser
 

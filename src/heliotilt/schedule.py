@@ -10,7 +10,7 @@ three. Two offset bases exist:
   the -23.45 the construction implies), so the July tilt lands 1 deg
   lower than in exact mode.
 * exact: self-consistent offsets interpolating linearly between +23.45
-  (December-solstice month) and -23.45 (June-solstice month).
+  (January) and -23.45 (July).
 
 Southern latitudes would need the whole construction mirrored (panels
 facing north, offsets negated), which is out of scope here, so every
@@ -66,7 +66,7 @@ PAPER_OFFSETS_DEG = (
     23.45, 15.47, 7.49, -0.5, -8.48, -16.46,
     -24.45, -16.46, -8.48, -0.5, 7.49, 15.47,
 )
-# Symmetric construction: +-23.45 at the solstice months, linear in between.
+# Symmetric construction: +23.45 in January, -23.45 in July, linear in between.
 EXACT_OFFSETS_DEG = tuple(
     EARTH_TILT_DEG * (4 - n) / 3.0 if n <= 7 else EARTH_TILT_DEG * (n - 10) / 3.0
     for n in range(1, 13)

@@ -1,4 +1,5 @@
 """CLI behavior: exit codes, output bytes, schema validity, determinism."""
+import argparse
 import contextlib
 import io
 import json
@@ -15,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import heliotilt
-from heliotilt.cli import main
+from heliotilt.cli import _build_parser, main
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -166,6 +167,13 @@ class TestTiltCommand:
         code, out, err = run(capsys, "tilt", "--lat", "32.7", "--month", "7", "--simplified")
         assert (code, out) == (2, "")
         assert err == "usage error: --simplified applies only to --day\n"
+
+    @pytest.mark.parametrize("mode", ["exact", "paper"])
+    def test_mode_with_day_is_usage_error(self, capsys, mode):
+        # the daily rule has no offset table, so no mode, not even the default one
+        code, out, err = run(capsys, "tilt", "--lat", "32.7", "--day", "81", "--mode", mode)
+        assert (code, out) == (2, "")
+        assert err == "usage error: --mode applies only to --month\n"
 
 
 class TestScheduleCommand:
@@ -344,11 +352,18 @@ class TestChartCommand:
         assert out == ""
         assert err == "error: day 81 appears more than once in the sun-path days\n"
 
-    @pytest.mark.parametrize("flags", [("--days", "81,81"), ("--azimuth",), ("--days", "81")])
+    @pytest.mark.parametrize("flags", [("--days", "81,81"), ("--azimuth",), ("--days", "81"),
+                                       ("--azimuth", "--step", "5")])
     def test_sunpath_flags_on_a_tilt_chart_are_usage_errors(self, capsys, flags):
         code, out, err = run(capsys, "chart", "--lat", "32.7", "--kind", "tilt", *flags)
         assert (code, out) == (2, "")
         assert err == "usage error: --days and --azimuth apply only to --kind sunpath\n"
+
+    @pytest.mark.parametrize("step", ["5", "nan"])
+    def test_step_on_a_tilt_chart_is_usage_error(self, capsys, step):
+        code, out, err = run(capsys, "chart", "--lat", "32.7", "--kind", "tilt", "--step", step)
+        assert (code, out) == (2, "")
+        assert err == "usage error: --step applies only to --kind sunpath\n"
 
     def test_bad_day_list_is_usage_error(self, capsys):
         for days in ("21,x", ""):
@@ -420,6 +435,84 @@ class TestOutputFile:
         assert out == ""
         assert err.startswith(f"error: cannot write {path}: ")
         assert err.count("\n") == 1
+
+
+# Each subcommand and branch, as its shortest valid call, with every optional flag it
+# accepts, each given a valid non-default value that matters there ("--out" gets a path)
+_FLAGS_BY_BRANCH = {
+    ("sun", "--lat", "32.7", "--day", "81"): [("--step", "60"), ("--format", "csv"), ("--out",)],
+    ("tilt", "--lat", "32.7", "--day", "279"): [
+        ("--simplified",), ("--mode", "exact"), ("--month", "7"), ("--format", "json"),
+        ("--format", "csv"), ("--out",),
+    ],
+    ("tilt", "--lat", "32.7", "--month", "7"): [
+        ("--mode", "exact"), ("--simplified",), ("--day", "279"), ("--format", "json"),
+        ("--format", "csv"), ("--out",),
+    ],
+    ("schedule", "--lat", "32.7"): [
+        ("--granularity", "seasonal"), ("--mode", "exact"), ("--format", "csv"), ("--out",),
+    ],
+    ("optimize", "--lat", "32.7"): [
+        ("--start-day", "81"), ("--end-day", "81"), ("--step", "30"), ("--format", "csv"),
+        ("--out",),
+    ],
+    ("gains", "--lat", "32.7"): [
+        ("--mode", "exact"), ("--step", "30"), ("--format", "csv"), ("--out",),
+    ],
+    ("chart", "--lat", "32.7"): [
+        ("--kind", "tilt"), ("--days", "81"), ("--step", "5"), ("--azimuth",),
+        ("--format", "csv"), ("--format", "svg"), ("--out",),
+    ],
+    ("chart", "--lat", "32.7", "--kind", "tilt"): [
+        ("--days", "81"), ("--step", "5"), ("--azimuth",), ("--format", "csv"),
+        ("--format", "svg"), ("--out",),
+    ],
+}
+
+
+_FLAG_CASES = [(base, flags) for base, cases in _FLAGS_BY_BRANCH.items() for flags in cases]
+
+
+class TestEveryFlagIsRead:
+    @pytest.mark.parametrize("base, flags", _FLAG_CASES,
+                             ids=[" ".join((*base, *flags)) for base, flags in _FLAG_CASES])
+    def test_flag_changes_the_bytes_or_is_a_usage_error(self, capsys, tmp_path, base, flags):
+        target = tmp_path / "out"
+
+        def written(*argv):
+            code, out, err = run(capsys, *argv)
+            return code, out, err, target.read_bytes() if target.exists() else None
+
+        before = written(*base)
+        assert before[0] == 0
+        extra = (*flags, str(target)) if flags == ("--out",) else flags
+        code, out, err, file_bytes = written(*base, *extra)
+        if code == 2:
+            assert out == "" and file_bytes is None
+            assert err.startswith("usage error: ") and err.count("\n") == 1
+        else:
+            assert (code, err) == (0, "")
+            assert (out, file_bytes) != (before[1], before[3])
+
+    def test_table_names_every_flag(self):
+        (commands,) = [a for a in _build_parser()._actions
+                       if isinstance(a, argparse._SubParsersAction)]
+        for base, cases in _FLAGS_BY_BRANCH.items():
+            declared = {a.option_strings[-1] for a in commands.choices[base[0]]._actions}
+            assert declared - {"--help", "--lat"} == {f[0] for f in cases} | set(base[3::2])
+
+
+class TestJsonHead:
+    @pytest.mark.parametrize("argv", [
+        ("sun", "--day", "81", "--step", "60"),
+        ("chart", "--days", "81", "--step", "60"),
+        ("optimize", "--start-day", "81", "--end-day", "81", "--step", "30"),
+    ])
+    def test_negative_zero_latitude_prints_as_zero(self, capsys, argv):
+        code, out, _ = run(capsys, *argv, "--lat", "-0", "--format", "json")
+        assert code == 0
+        assert '"latitude_deg": 0.0,' in out
+        assert "-0.0" not in out
 
 
 def _no_constant(name):
