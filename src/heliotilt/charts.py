@@ -55,7 +55,7 @@ _OFFSET_NOTES = {
 
 @dataclass(frozen=True)
 class ChartSeries:
-    """One named polyline: paired x/y samples with strictly increasing x."""
+    """One named polyline: paired finite x/y samples with strictly increasing x."""
 
     name: str
     x: tuple[float, ...]
@@ -68,8 +68,10 @@ class ChartSeries:
                 f"series {self.name!r}: x and y lengths differ "
                 f"({len(self.x)} vs {len(self.y)})"
             )
-        if any(b <= a for a, b in zip(self.x, self.x[1:])):
+        if any(not a < b for a, b in zip(self.x, self.x[1:])):  # NaN fails a < b too
             raise ValueError(f"series {self.name!r}: x must be strictly increasing")
+        if not all(map(math.isfinite, (*self.x[:1], *self.x[-1:], *self.y))):  # x: its ends suffice
+            raise ValueError(f"series {self.name!r}: x and y must be finite")
 
 
 def sunpath_chart(
@@ -82,8 +84,8 @@ def sunpath_chart(
 
     Defaults to the 21st of every month. Each series samples solar time
     symmetrically around noon at the given step and keeps only
-    above-horizon points, so the first and last samples sit at (or just
-    after) sunrise and sunset and the peak lands exactly at hour 12.
+    above-horizon points: the first sample at or just after sunrise, the
+    last at or just before sunset, and the peak exactly at hour 12.
     With include_azimuth, a companion compass-azimuth series follows
     each elevation series. Polar-night days come back empty. Each day
     may appear once, which bounds a chart at 365 days.
@@ -117,23 +119,11 @@ def sunpath_chart(
                 az.append(a)
         xs = tuple(xs)
         base = {"day": day, "latitude_deg": loc.latitude_deg, "units": "degrees"}
-        out.append(
-            ChartSeries(
-                name=f"day_{day:03d}",
-                x=xs,
-                y=tuple(elev),
-                metadata={**base, "kind": "elevation"},
-            )
-        )
+        parts = [("", "elevation", elev)]
         if include_azimuth:
-            out.append(
-                ChartSeries(
-                    name=f"day_{day:03d}_az",
-                    x=xs,
-                    y=tuple(map(compass_azimuth, az)),
-                    metadata={**base, "kind": "compass_azimuth"},
-                )
-            )
+            parts.append(("_az", "compass_azimuth", map(compass_azimuth, az)))
+        out += [ChartSeries(f"day_{day:03d}{suffix}", xs, tuple(ys), {**base, "kind": kind})
+                for suffix, kind, ys in parts]
     return out
 
 
@@ -292,6 +282,22 @@ def _tick_values(lo: float, hi: float) -> list[float]:
     return [lo + (hi - lo) * i / 4 for i in range(5)]
 
 
+def _bounds(values: list[float]) -> tuple[float, float]:
+    """An axis's (lo, hi): (0, 1) when empty, one unit wide when flat."""
+    lo, hi = (min(values), max(values)) if values else (0.0, 1.0)
+    return lo, (lo + 1.0 if hi <= lo else hi)
+
+
+def _line(x1, y1, x2, y2) -> str:
+    return f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" stroke="black"/>'
+
+
+def _text(x, y, size, text: str, anchor: str = "middle", extra: str = "") -> str:
+    """A sans-serif <text>, escaped. Callers pass each coordinate formatted."""
+    return (f'<text x="{x}" y="{y}" text-anchor="{anchor}" font-family="sans-serif" '
+            f'font-size="{size}"{extra}>{_svg_text(text)}</text>')
+
+
 def render_svg(
     series_list: list[ChartSeries],
     title: str,
@@ -299,15 +305,12 @@ def render_svg(
     y_label: str,
 ) -> str:
     """Minimal self-contained SVG line chart (fixed 800x500 canvas)."""
-    xs = [x for s in series_list for x in s.x]
-    ys = [y for s in series_list for y in s.y]
-    x_lo, x_hi, y_lo, y_hi = (min(xs), max(xs), min(ys), max(ys)) if xs else (0.0, 1.0, 0.0, 1.0)
-    if x_hi <= x_lo:
-        x_hi = x_lo + 1.0
-    if y_hi <= y_lo:
-        y_hi = y_lo + 1.0
+    x_lo, x_hi = _bounds([x for s in series_list for x in s.x])
+    y_lo, y_hi = _bounds([y for s in series_list for y in s.y])
     plot_w = _SVG_W - _MARGIN_L - _MARGIN_R
     plot_h = _SVG_H - _MARGIN_T - _MARGIN_B
+    base = _SVG_H - _MARGIN_B  # the x axis
+    mid_y = f"{_MARGIN_T + plot_h / 2:.2f}"
 
     def px(x: float) -> float:
         return _MARGIN_L + plot_w * (x - x_lo) / (x_hi - x_lo)
@@ -318,41 +321,19 @@ def render_svg(
     out = [
         f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {_SVG_W} {_SVG_H}">',
         f'<rect width="{_SVG_W}" height="{_SVG_H}" fill="white"/>',
-        f'<text x="{_SVG_W / 2:.2f}" y="24" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="16">{_svg_text(title)}</text>',
+        _text(f"{_SVG_W / 2:.2f}", 24, 16, title),
+        _line(_MARGIN_L, _MARGIN_T, _MARGIN_L, base)
+        + _line(_MARGIN_L, base, _SVG_W - _MARGIN_R, base),
     ]
-    axis = (
-        f'<line x1="{_MARGIN_L}" y1="{_MARGIN_T}" x2="{_MARGIN_L}" '
-        f'y2="{_SVG_H - _MARGIN_B}" stroke="black"/>'
-        f'<line x1="{_MARGIN_L}" y1="{_SVG_H - _MARGIN_B}" '
-        f'x2="{_SVG_W - _MARGIN_R}" y2="{_SVG_H - _MARGIN_B}" stroke="black"/>'
-    )
-    out.append(axis)
     for tick in _tick_values(x_lo, x_hi):
-        x = px(tick)
-        out.append(
-            f'<line x1="{x:.2f}" y1="{_SVG_H - _MARGIN_B}" x2="{x:.2f}" '
-            f'y2="{_SVG_H - _MARGIN_B + 5}" stroke="black"/>'
-            f'<text x="{x:.2f}" y="{_SVG_H - _MARGIN_B + 18}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="11">{round(tick, 3):g}</text>'
-        )
+        x = f"{px(tick):.2f}"
+        out.append(_line(x, base, x, base + 5) + _text(x, base + 18, 11, f"{round(tick, 3):g}"))
     for tick in _tick_values(y_lo, y_hi):
         y = py(tick)
-        out.append(
-            f'<line x1="{_MARGIN_L - 5}" y1="{y:.2f}" x2="{_MARGIN_L}" '
-            f'y2="{y:.2f}" stroke="black"/>'
-            f'<text x="{_MARGIN_L - 8}" y="{y + 4:.2f}" text-anchor="end" '
-            f'font-family="sans-serif" font-size="11">{round(tick, 3):g}</text>'
-        )
-    out.append(
-        f'<text x="{_MARGIN_L + plot_w / 2:.2f}" y="{_SVG_H - 12}" '
-        f'text-anchor="middle" font-family="sans-serif" font-size="13">{_svg_text(x_label)}</text>'
-    )
-    out.append(
-        f'<text x="16" y="{_MARGIN_T + plot_h / 2:.2f}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="13" '
-        f'transform="rotate(-90 16 {_MARGIN_T + plot_h / 2:.2f})">{_svg_text(y_label)}</text>'
-    )
+        out.append(_line(_MARGIN_L - 5, f"{y:.2f}", _MARGIN_L, f"{y:.2f}")
+                   + _text(_MARGIN_L - 8, f"{y + 4:.2f}", 11, f"{round(tick, 3):g}", "end"))
+    out.append(_text(f"{_MARGIN_L + plot_w / 2:.2f}", _SVG_H - 12, 13, x_label))
+    out.append(_text(16, mid_y, 13, y_label, extra=f' transform="rotate(-90 16 {mid_y})"'))
     for i, series in enumerate(series_list):
         if len(series.x) < 2:
             continue

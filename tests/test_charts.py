@@ -55,6 +55,27 @@ class TestChartSeries:
         series = ChartSeries("empty", (), ())
         assert len(series.x) == 0
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("where", [0, 1, 2])
+    def test_rejects_non_finite_values(self, bad, where):
+        good = (0.0, 1.0, 2.0)
+        spoilt = tuple(bad if i == where else v for i, v in enumerate(good))
+        with pytest.raises(ValueError, match="'named'"):
+            ChartSeries("named", spoilt, good)
+        with pytest.raises(ValueError, match="'named': x and y must be finite"):
+            ChartSeries("named", good, spoilt)
+
+    def test_rejects_a_lone_non_finite_x(self):
+        with pytest.raises(ValueError, match="finite"):
+            ChartSeries("one", (math.nan,), (1.0,))
+
+    @pytest.mark.parametrize("lat", [89.9, 32.7, 0.0, -0.0, -89.9])
+    def test_library_series_construct(self, lat):
+        series = sunpath_chart(Location(lat), step_minutes=7.2, include_azimuth=True)
+        if lat > 0:  # the tilt rules are northern only
+            series.append(tilt_curve(Location(lat)))
+        assert all(math.isfinite(v) for s in series for v in (*s.x, *s.y))
+
 
 class TestSunpathChart:
     def test_default_days_are_monthly_21sts(self):
@@ -348,6 +369,8 @@ class TestJsonRendering:
 
 
 class TestSvgRendering:
+    NS = "{http://www.w3.org/2000/svg}"
+
     def test_well_formed_document(self):
         series = sunpath_chart(SITE, (81, 172), step_minutes=30.0)
         svg = render_svg(series, "Sun path", "solar hour", "degrees")
@@ -379,3 +402,40 @@ class TestSvgRendering:
         one_point = ChartSeries("dot", (1.0,), (2.0,))
         svg = render_svg([one_point], "t", "x", "y")
         assert "<polyline" not in svg
+
+    @staticmethod
+    def texts(svg, **attrs):
+        """The text of each <text> whose attributes include attrs."""
+        root = ET.fromstring(svg)
+        return [
+            e.text for e in root.iter(TestSvgRendering.NS + "text")
+            if all(e.get(k.replace("_", "-")) == v for k, v in attrs.items())
+        ]
+
+    def test_flat_series_spans_one_unit(self):
+        svg = render_svg([ChartSeries("flat", (0.0, 1.0, 2.0), (5.0, 5.0, 5.0))], "t", "x", "y")
+        assert self.texts(svg, text_anchor="end") == ["5", "5.25", "5.5", "5.75", "6"]
+        assert 'points="60.00,450.00 420.00,450.00 780.00,450.00"' in svg
+
+    def test_single_x_value_spans_one_unit(self):
+        series = [ChartSeries("a", (3.0,), (1.0,)), ChartSeries("b", (3.0,), (2.0,))]
+        svg = render_svg(series, "t", "x", "y")
+        assert self.texts(svg, font_size="11", text_anchor="middle") == [
+            "3", "3.25", "3.5", "3.75", "4"
+        ]
+        assert self.texts(svg, text_anchor="end") == ["1", "1.25", "1.5", "1.75", "2"]
+
+    def test_colours_repeat_after_twelve_series(self):
+        series = [ChartSeries(f"s{i}", (0.0, 1.0), (i, i + 1.0)) for i in range(13)]
+        root = ET.fromstring(render_svg(series, "t", "x", "y"))
+        strokes = [e.get("stroke") for e in root.iter(self.NS + "polyline")]
+        assert len(strokes) == 13 and len(set(strokes[:12])) == 12
+        assert strokes[0] == strokes[12] == "#1f77b4"
+
+    def test_every_text_and_line_carries_its_style(self):
+        series = sunpath_chart(SITE, (81, 172), step_minutes=30.0, include_azimuth=True)
+        root = ET.fromstring(render_svg(series, "Sun & shade", "x <h>", "y"))
+        texts, lines = list(root.iter(self.NS + "text")), list(root.iter(self.NS + "line"))
+        assert len(texts) == 13 and len(lines) == 12
+        assert all(e.get("font-family") == "sans-serif" for e in texts)
+        assert all(e.get("stroke") == "black" for e in lines)
