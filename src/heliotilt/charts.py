@@ -9,9 +9,8 @@ no external assets so files can be diffed byte for byte.
 """
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .geometry import (
     Location,
@@ -53,25 +52,35 @@ _OFFSET_NOTES = {
 }
 
 
-@dataclass(frozen=True)
-class ChartSeries:
-    """One named polyline: paired finite x/y samples with strictly increasing x."""
-
+class _ChartSeries(NamedTuple):
     name: str
     x: tuple[float, ...]
     y: tuple[float, ...]
-    metadata: dict = field(default_factory=dict)
+    metadata: dict
 
-    def __post_init__(self) -> None:
-        if len(self.x) != len(self.y):
+
+class ChartSeries(_ChartSeries):
+    """One named polyline: paired finite x/y samples with strictly increasing x.
+
+    metadata defaults to a new empty dict for each series.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, name: str, x: tuple, y: tuple, metadata: dict | None = None) -> ChartSeries:
+        if len(x) != len(y):
             raise ValueError(
-                f"series {self.name!r}: x and y lengths differ "
-                f"({len(self.x)} vs {len(self.y)})"
+                f"series {name!r}: x and y lengths differ ({len(x)} vs {len(y)})"
             )
-        if any(not a < b for a, b in zip(self.x, self.x[1:])):  # NaN fails a < b too
-            raise ValueError(f"series {self.name!r}: x must be strictly increasing")
-        if not all(map(math.isfinite, (*self.x[:1], *self.x[-1:], *self.y))):  # x: its ends suffice
-            raise ValueError(f"series {self.name!r}: x and y must be finite")
+        if any(not a < b for a, b in zip(x, x[1:])):  # NaN fails a < b too
+            raise ValueError(f"series {name!r}: x must be strictly increasing")
+        if not all(map(math.isfinite, (*x[:1], *x[-1:], *y))):  # x: its ends suffice
+            raise ValueError(f"series {name!r}: x and y must be finite")
+        return super().__new__(cls, name, x, y, {} if metadata is None else metadata)
+
+    @classmethod
+    def _make(cls, iterable) -> ChartSeries:  # so _replace checks too
+        return cls(*iterable)
 
 
 def sunpath_chart(
@@ -164,14 +173,24 @@ def sun_day_rows(
     ]
 
 
-@dataclass(frozen=True)
-class ScheduleTable:
-    """Labeled tilt rows (months or seasons) plus summary metadata, latitude included."""
-
+class _ScheduleTable(NamedTuple):
     granularity: str
     mode: TiltMode
     rows: tuple[tuple[str, float], ...]
-    metadata: dict = field(default_factory=dict)
+    metadata: dict
+
+
+class ScheduleTable(_ScheduleTable):
+    """Labeled tilt rows (months or seasons) plus summary metadata, latitude included.
+
+    metadata defaults to a new empty dict for each table.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, granularity: str, mode: TiltMode, rows: tuple,
+                metadata: dict | None = None) -> ScheduleTable:
+        return super().__new__(cls, granularity, mode, rows, {} if metadata is None else metadata)
 
 
 def schedule_table(
@@ -223,8 +242,13 @@ def json_column(column: Column, values) -> list:
 
 
 def _csv_cells(column: Column, values) -> list[str]:
-    fmt = column[2]
-    return [format(v, fmt) for v in json_column(column, values)]
+    _, digits, fmt = column
+    if fmt != f".{digits}f":
+        return [format(v, fmt) for v in json_column(column, values)]
+    # format() rounds the way round() does, so only its negative zero needs mending
+    negative_zero = format(-0.0, fmt)
+    cells = [format(v, fmt) for v in values]
+    return [cell[1:] if cell == negative_zero else cell for cell in cells]
 
 
 def json_rows(columns: tuple[Column, ...], rows) -> list[dict]:
@@ -261,6 +285,8 @@ def render_csv(columns: tuple[Column, ...], rows) -> str:
 
 def render_json(payload: dict) -> str:
     """Stable two-space-indented JSON with a trailing newline."""
+    import json  # here, so csv, svg and text output never load it
+
     return json.dumps(payload, indent=2, allow_nan=False) + "\n"
 
 
@@ -278,14 +304,29 @@ def _svg_text(text: str) -> str:
     return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
-def _tick_values(lo: float, hi: float) -> list[float]:
-    return [lo + (hi - lo) * i / 4 for i in range(5)]
-
-
 def _bounds(values: list[float]) -> tuple[float, float]:
-    """An axis's (lo, hi): (0, 1) when empty, one unit wide when flat."""
+    """An axis's (lo, hi): (0, 1) when empty, one unit wide when flat (|lo| wide
+    where a unit is lost to rounding). A span the canvas overflows is a ValueError."""
     lo, hi = (min(values), max(values)) if values else (0.0, 1.0)
-    return lo, (lo + 1.0 if hi <= lo else hi)
+    if hi <= lo:
+        hi = lo + 1.0 if lo + 1.0 > lo else lo + abs(lo)
+    if not math.isfinite(_SVG_W * (hi - lo)):
+        raise ValueError(f"cannot draw an axis from {lo:g} to {hi:g}: the span overflows")
+    return lo, hi
+
+
+def _ticks(lo: float, hi: float) -> list[tuple[float, str]]:
+    """Five evenly spaced ticks and their labels: three decimals or, where that
+    repeats a label, as many significant digits as tell the ticks apart (a narrow
+    axis, or one far from zero). Ticks that are not five distinct floats keep
+    three decimals."""
+    ticks = [lo + (hi - lo) * i / 4 for i in range(5)]
+    labels = [f"{round(t, 3):g}" for t in ticks]
+    digits = 6
+    while len(set(labels)) < len(labels) == len(set(ticks)):  # .17g tells floats apart
+        labels = [f"{t:.{digits}g}" for t in ticks]
+        digits += 1
+    return list(zip(ticks, labels))
 
 
 def _line(x1, y1, x2, y2) -> str:
@@ -325,13 +366,13 @@ def render_svg(
         _line(_MARGIN_L, _MARGIN_T, _MARGIN_L, base)
         + _line(_MARGIN_L, base, _SVG_W - _MARGIN_R, base),
     ]
-    for tick in _tick_values(x_lo, x_hi):
+    for tick, label in _ticks(x_lo, x_hi):
         x = f"{px(tick):.2f}"
-        out.append(_line(x, base, x, base + 5) + _text(x, base + 18, 11, f"{round(tick, 3):g}"))
-    for tick in _tick_values(y_lo, y_hi):
+        out.append(_line(x, base, x, base + 5) + _text(x, base + 18, 11, label))
+    for tick, label in _ticks(y_lo, y_hi):
         y = py(tick)
         out.append(_line(_MARGIN_L - 5, f"{y:.2f}", _MARGIN_L, f"{y:.2f}")
-                   + _text(_MARGIN_L - 8, f"{y + 4:.2f}", 11, f"{round(tick, 3):g}", "end"))
+                   + _text(_MARGIN_L - 8, f"{y + 4:.2f}", 11, label, "end"))
     out.append(_text(f"{_MARGIN_L + plot_w / 2:.2f}", _SVG_H - 12, 13, x_label))
     out.append(_text(16, mid_y, 13, y_label, extra=f' transform="rotate(-90 16 {mid_y})"'))
     for i, series in enumerate(series_list):

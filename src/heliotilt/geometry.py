@@ -13,7 +13,7 @@ arithmetic, so the insolation grid puts numpy arrays through it too.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 EARTH_TILT_DEG = 23.45
 DAYS_PER_YEAR = 365
@@ -23,21 +23,26 @@ STRICT_LATITUDE_LIMIT_DEG = 66.55  # below this the noon sun is up year-round
 _DEG = math.pi / 180.0
 
 
-@dataclass(frozen=True)
-class Location:
-    """A site identified by signed latitude, positive north of the equator."""
-
+class _Location(NamedTuple):
     latitude_deg: float
 
-    def __post_init__(self) -> None:
-        if not -90.0 <= self.latitude_deg <= 90.0:
-            raise ValueError(
-                f"latitude must be in [-90, 90] degrees, got {self.latitude_deg}"
-            )
+
+class Location(_Location):
+    """A site identified by signed latitude, positive north of the equator."""
+
+    __slots__ = ()
+
+    def __new__(cls, latitude_deg: float) -> Location:
+        if not -90.0 <= latitude_deg <= 90.0:
+            raise ValueError(f"latitude must be in [-90, 90] degrees, got {latitude_deg}")
+        return super().__new__(cls, latitude_deg)
+
+    @classmethod
+    def _make(cls, iterable) -> Location:  # so _replace checks too
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class SolarAngles:
+class SolarAngles(NamedTuple):
     """Sun position for one instant.
 
     Azimuth is south-referenced and signed: 0 at solar noon, negative

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple, Sequence
 
@@ -155,8 +154,7 @@ def tilt_extremes(loc: Location, mode: TiltMode = TiltMode.PAPER) -> tuple[float
     return (min(betas), max(betas))
 
 
-@dataclass(frozen=True)
-class MonthlySchedule:
+class MonthlySchedule(NamedTuple):
     """Twelve monthly tilts, January first: latitude plus the mode offsets, clamped."""
 
     latitude_deg: float
@@ -181,8 +179,7 @@ def monthly_schedule(loc: Location, mode: TiltMode = TiltMode.PAPER) -> MonthlyS
     return MonthlySchedule(phi, mode, betas, clamped)
 
 
-@dataclass(frozen=True)
-class SeasonalSchedule:
+class SeasonalSchedule(NamedTuple):
     """Four per-season tilts: winter, spring, summer, fall.
 
     Each is the mean of its three monthly tilts; delta_deg records the

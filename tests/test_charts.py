@@ -8,11 +8,14 @@ import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from heliotilt import (
     DEFAULT_CHART_DAYS,
     ChartSeries,
     Location,
+    ScheduleTable,
     TiltMode,
     compass_azimuth,
     daily_tilt,
@@ -26,7 +29,7 @@ from heliotilt import (
     tilt_extremes,
 )
 from heliotilt import charts, schedule
-from heliotilt.charts import fmt_angle, render_csv, render_json, render_svg
+from heliotilt.charts import angle, fmt_angle, render_csv, render_json, render_svg
 from heliotilt.cli import CHART_COLUMNS, SUN_COLUMNS, main
 
 SITE = Location(32.7)
@@ -68,6 +71,19 @@ class TestChartSeries:
     def test_rejects_a_lone_non_finite_x(self):
         with pytest.raises(ValueError, match="finite"):
             ChartSeries("one", (math.nan,), (1.0,))
+
+    def test_replace_checks_the_new_samples(self):
+        series = ChartSeries("s", (1.0, 2.0), (0.0, 1.0))
+        assert series._replace(y=(5.0, 6.0)).y == (5.0, 6.0)
+        with pytest.raises(ValueError, match="'s': x and y lengths differ"):
+            series._replace(y=(5.0,))
+
+    def test_each_record_gets_its_own_metadata(self):
+        first, second = ChartSeries("a", (), ()), ChartSeries("b", (), ())
+        tables = [ScheduleTable("monthly", TiltMode.PAPER, ()) for _ in range(2)]
+        for one, other in ((first, second), tables):
+            one.metadata["key"] = 1
+            assert one.metadata == {"key": 1} and other.metadata == {}
 
     @pytest.mark.parametrize("lat", [89.9, 32.7, 0.0, -0.0, -89.9])
     def test_library_series_construct(self, lat):
@@ -286,6 +302,16 @@ class TestNumberFormatting:
         assert fmt_angle(-0.004) == "0.00"
         assert fmt_angle(-0.0) == "0.00"
 
+    @given(st.floats(allow_nan=False) | st.integers(-10**6, 10**6).map(lambda n: n / 200))
+    @example(-0.0)
+    @example(-0.005)
+    @example(0.125)
+    @example(-0.004999999999999999)
+    def test_angle_cells_print_the_json_number(self, value):
+        # n / 200 hits every half-way case of two decimals
+        cells = render_csv((angle("a"), angle("b")), [(value, -value)]).split("\n")[1]
+        assert cells == ",".join(format(round(v, 2) + 0.0, ".2f") for v in (value, -value))
+
     def test_abscissa_compact_and_stable(self):
         def x_cells(*xs):
             text = render_csv(CHART_COLUMNS, [("s", x, 0.0) for x in xs])
@@ -424,6 +450,23 @@ class TestSvgRendering:
             "3", "3.25", "3.5", "3.75", "4"
         ]
         assert self.texts(svg, text_anchor="end") == ["1", "1.25", "1.5", "1.75", "2"]
+
+    def test_narrow_axis_labels_differ(self):
+        svg = render_svg([ChartSeries("s", (1e6, 1e6 + 1.0), (0.0, 1e-4))], "t", "x", "y")
+        assert self.texts(svg, text_anchor="end") == ["0", "2.5e-05", "5e-05", "7.5e-05", "0.0001"]
+        assert self.texts(svg, font_size="11", text_anchor="middle") == [
+            "1000000", "1000000.2", "1000000.5", "1000000.8", "1000001"
+        ]
+
+    def test_flat_axis_far_from_zero_is_drawn(self):
+        svg = render_svg([ChartSeries("s", (0.0, 1.0), (-1e20, -1e20))], "t", "x", "y")
+        assert self.texts(svg, text_anchor="end") == ["-1e+20", "-7.5e+19", "-5e+19", "-2.5e+19",
+                                                      "0"]
+
+    @pytest.mark.parametrize("ys", [(-1e308, 1e308), (0.0, 1e307), (1e308, 1e308)])
+    def test_axis_past_the_float_range_is_value_error(self, ys):
+        with pytest.raises(ValueError, match="span overflows"):
+            render_svg([ChartSeries("big", (0.0, 1.0), ys)], "t", "x", "y")
 
     def test_colours_repeat_after_twelve_series(self):
         series = [ChartSeries(f"s{i}", (0.0, 1.0), (i, i + 1.0)) for i in range(13)]

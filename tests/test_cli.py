@@ -586,39 +586,47 @@ class TestDeterminism:
         assert out1 == out2
 
 
-# Runs the CLI as `python -m heliotilt.cli` does, then reports on stderr's
-# last line whether numpy was imported
-_NUMPY_PROBE = """
+# Runs the CLI as `python -m heliotilt.cli` does and prints, on the last line of
+# stderr, which of numpy, dataclasses and json the run itself imported
+_IMPORT_PROBE = """
 import runpy, sys
+before = set(sys.modules)
 try:
     runpy.run_module("heliotilt.cli", run_name="__main__", alter_sys=True)
 finally:
-    print("numpy" in sys.modules, file=sys.stderr)
+    print(*[m for m in ("numpy", "dataclasses", "json") if m in set(sys.modules) - before],
+          sep=",", file=sys.stderr)
 """
 
 
 class TestNumpyFreePaths:
+    """Only optimize and gains load numpy (and insolation's dataclasses); only a
+    JSON output loads json."""
+
     @pytest.mark.parametrize(
-        "argv, code, numpy_loaded",
+        "argv, code, loaded",
         [
-            (("tilt", "--lat", "32.7", "--day", "81"), 0, False),
-            (("tilt", "--lat", "32.7", "--month", "7", "--format", "json"), 0, False),
-            (("schedule", "--lat", "32.7"), 0, False),
+            (("tilt", "--lat", "32.7", "--day", "81"), 0, ""),
+            (("tilt", "--lat", "32.7", "--month", "7", "--format", "json"), 0, "json"),
+            (("tilt", "--lat", "32.7", "--month", "7", "--format", "csv"), 0, ""),
+            (("schedule", "--lat", "32.7"), 0, "json"),
             (("schedule", "--lat", "32.7", "--granularity", "seasonal", "--format", "csv"), 0,
-             False),
-            (("chart", "--lat", "32.7", "--kind", "tilt"), 0, False),
-            (("tilt", "--lat", "32.7"), 2, False),
-            (("schedule", "--lat", "-10"), 1, False),
-            (("optimize", "--lat", "32.7", "--step", "60"), 0, True),
-            (("sun", "--lat", "32.7", "--day", "81", "--step", "60"), 0, False),
-            (("chart", "--lat", "32.7", "--azimuth", "--format", "svg"), 0, False),
+             ""),
+            (("chart", "--lat", "32.7", "--kind", "tilt"), 0, "json"),
+            (("chart", "--lat", "32.7", "--kind", "tilt", "--format", "csv"), 0, ""),
+            (("tilt", "--lat", "32.7"), 2, ""),
+            (("schedule", "--lat", "-10"), 1, ""),
+            (("optimize", "--lat", "32.7", "--step", "60"), 0, "numpy,dataclasses,json"),
+            (("sun", "--lat", "32.7", "--day", "81", "--step", "60"), 0, "json"),
+            (("sun", "--lat", "32.7", "--day", "81", "--step", "60", "--format", "csv"), 0, ""),
+            (("chart", "--lat", "32.7", "--azimuth", "--format", "svg"), 0, ""),
         ],
     )
-    def test_numpy_imported_only_for_arrays(self, argv, code, numpy_loaded):
-        proc = subprocess.run([sys.executable, "-c", _NUMPY_PROBE, *argv], env=_src_env(),
+    def test_heavy_modules_imported_only_where_used(self, argv, code, loaded):
+        proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, *argv], env=_src_env(),
                               capture_output=True, text=True, timeout=60)
         assert proc.returncode == code, proc.stderr
-        assert proc.stderr.splitlines()[-1] == str(numpy_loaded)
+        assert proc.stderr.splitlines()[-1] == loaded
 
     def test_policies_build_without_numpy(self):
         script = (
@@ -636,6 +644,13 @@ class TestNumpyFreePaths:
                               capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "False\n"
+
+    def test_python_m_heliotilt_is_the_cli(self):
+        argv = ["tilt", "--lat", "32.7", "--day", "81"]
+        outs = [subprocess.run([sys.executable, "-m", module, *argv], env=_src_env(),
+                               capture_output=True, timeout=60)
+                for module in ("heliotilt", "heliotilt.cli")]
+        assert [(p.returncode, p.stdout, p.stderr) for p in outs] == [(0, b"32.70\n", b"")] * 2
 
 
 def _src_env():

@@ -32,6 +32,12 @@ class TestLocation:
         with pytest.raises(ValueError):
             Location(bad)
 
+    def test_is_a_one_field_tuple(self):
+        assert SITE == (32.7,) and SITE[0] == 32.7
+        assert SITE._replace(latitude_deg=-10.0) == Location(-10.0)
+        with pytest.raises(ValueError, match="latitude must be in"):
+            SITE._replace(latitude_deg=90.1)
+
 
 class TestDeclination:
     def test_zero_at_spring_anchor(self):
