@@ -305,10 +305,10 @@ def _svg_text(text: str) -> str:
 
 
 def _bounds(values: list[float]) -> tuple[float, float]:
-    """An axis's (lo, hi): (0, 1) when empty, one unit wide when flat (|lo| wide
-    where a unit is lost to rounding). A span the canvas overflows is a ValueError."""
+    """An axis's (lo, hi): (0, 1) when empty, one unit wide when flat to within 8 ulps
+    (|lo| wide where a unit is lost to rounding). A span the canvas overflows is a ValueError."""
     lo, hi = (min(values), max(values)) if values else (0.0, 1.0)
-    if hi <= lo:
+    if hi - lo <= 8.0 * math.ulp(max(abs(lo), abs(hi))):  # rounding noise, as at the pole
         hi = lo + 1.0 if lo + 1.0 > lo else lo + abs(lo)
     if not math.isfinite(_SVG_W * (hi - lo)):
         raise ValueError(f"cannot draw an axis from {lo:g} to {hi:g}: the span overflows")

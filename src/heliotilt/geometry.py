@@ -33,8 +33,7 @@ class Location(_Location):
     __slots__ = ()
 
     def __new__(cls, latitude_deg: float) -> Location:
-        if not -90.0 <= latitude_deg <= 90.0:
-            raise ValueError(f"latitude must be in [-90, 90] degrees, got {latitude_deg}")
+        _check_range(latitude_deg, -90.0, 90.0, "latitude must be in [-90, 90] degrees")
         return super().__new__(cls, latitude_deg)
 
     @classmethod
@@ -60,12 +59,21 @@ def _check_index(value, what: str, count: int) -> int:
     """value as an int in [1, count]; anything else (inf, nan and bools too) is a ValueError."""
     try:
         n = int(value)
-        is_bool = isinstance(value, bool) or getattr(value, "dtype", None) == bool  # numpy's too
-        if n == value and 1 <= n <= count and not is_bool:
+        if n == value and 1 <= n <= count and not _is_bool(value):
             return n
     except (TypeError, ValueError, OverflowError):
         pass
     raise ValueError(f"{what} must be an integer in [1, {count}], got {value!r}")
+
+
+def _is_bool(value) -> bool:
+    return isinstance(value, bool) or getattr(value, "dtype", None) == bool  # numpy's too
+
+
+def _check_range(value: float, lo: float, hi: float, what: str) -> None:
+    """ValueError(f"{what}, got {value}") for a bool or a value outside [lo, hi], nan too."""
+    if _is_bool(value) or not lo <= value <= hi:
+        raise ValueError(f"{what}, got {value}")
 
 
 def _check_day(day: int) -> int:
@@ -74,8 +82,7 @@ def _check_day(day: int) -> int:
 
 def _check_step(step_minutes: float) -> None:
     # the lower bound caps a year grid at about 1.3M samples
-    if not 0.1 <= step_minutes <= 120.0:
-        raise ValueError(f"time step must be finite minutes in [0.1, 120], got {step_minutes}")
+    _check_range(step_minutes, 0.1, 120.0, "time step must be finite minutes in [0.1, 120]")
 
 
 def declination_exact(day: int) -> float:
@@ -141,11 +148,6 @@ def _up_south(sin_phi, cos_phi, sin_delta, cos_delta, cos_omega):
     return up, cos_omega * cos_delta * sin_phi - sin_delta * cos_phi
 
 
-def _check_hour_angle(hour_angle_deg: float) -> None:
-    if not -180.0 <= hour_angle_deg <= 180.0:
-        raise ValueError(f"hour angle must be in [-180, 180] degrees, got {hour_angle_deg}")
-
-
 def _sun_vector(
     loc: Location, day: int, hour_angle_deg: float
 ) -> tuple[float, float, float, float]:
@@ -155,7 +157,7 @@ def _sun_vector(
     frame: _up_south, and west = cos(delta) sin(omega).
     """
     decl = _declination(_check_day(day))
-    _check_hour_angle(hour_angle_deg)
+    _check_range(hour_angle_deg, -180.0, 180.0, "hour angle must be in [-180, 180] degrees")
     phi, delta, omega = map(math.radians, (loc.latitude_deg, decl, hour_angle_deg))
     cos_d = math.cos(delta)
     up, south = _up_south(math.sin(phi), math.cos(phi), math.sin(delta), cos_d, math.cos(omega))

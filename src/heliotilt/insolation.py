@@ -20,6 +20,7 @@ holds each day from noon to sunset and weighs it twice for the morning.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -30,6 +31,7 @@ from .geometry import (
     DAYS_PER_YEAR,
     Location,
     _check_day,
+    _check_range,
     _check_step,
     _declination,
     _sun_vector,
@@ -62,19 +64,22 @@ class IrradianceModel:
         """Direct-normal irradiance in W/m^2 for a sun elevation.
 
         Scalar in, scalar out; ndarray in, ndarray out. Zero at and
-        below the horizon.
+        below the horizon; a non-finite elevation is a ValueError.
         """
+        if not np.all(np.isfinite(elevation_deg)):
+            raise ValueError(f"elevation must be finite degrees, got {elevation_deg}")
         out = _direct_normal(np.sin(np.radians(np.atleast_1d(elevation_deg))))
         return float(out[0]) if np.ndim(elevation_deg) == 0 else out
 
 
-def _direct_normal(sin_elev: np.ndarray) -> np.ndarray:
-    """S * 0.7 ** (AM ** 0.678) in its exp-log form, in place; 0 unless sin(elev) > 0."""
-    dni = np.log(np.maximum(sin_elev, _SIN_CAP))  # -ln(AM)
+def _direct_normal(sin_elev: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """S * 0.7 ** (AM ** 0.678) in its exp-log form, into out; 0 unless sin(elev) > 0."""
+    dni = np.maximum(sin_elev, _SIN_CAP, out=out)
+    np.log(dni, out=dni)  # -ln(AM)
     np.exp(np.multiply(dni, -AIR_MASS_EXPONENT, out=dni), out=dni)  # AM ** 0.678
     np.exp(np.multiply(dni, math.log(TRANSMITTANCE), out=dni), out=dni)
     dni *= SOLAR_CONSTANT_W_M2
-    dni[~(sin_elev > 0.0)] = 0.0
+    dni *= sin_elev > 0.0  # finite dni times 0 is +0.0
     return dni
 
 
@@ -128,8 +133,7 @@ def incidence_cosine(
     floor at zero and mask night themselves. At solar noon with a south
     panel this reduces to sin(noon_elevation + tilt).
     """
-    if not -90.0 <= tilt_deg <= 90.0:
-        raise ValueError(f"tilt must be in [-90, 90] degrees, got {tilt_deg}")
+    _check_range(tilt_deg, -90.0, 90.0, "tilt must be in [-90, 90] degrees")
     if not math.isfinite(panel_azimuth_deg):
         raise ValueError(f"panel azimuth must be finite degrees, got {panel_azimuth_deg}")
     _, up, south, west = _sun_vector(loc, day, hour_angle_deg)
@@ -156,9 +160,10 @@ def _sample_days(loc: Location, period: tuple[int, int], model: IrradianceModel 
     sample weighs twice its two-sided trapezoid weight, except an odd n's
     noon sample, which has no mirror image (found by n's parity, since its
     omega rounds to about +-1e-17, either sign). k = 0 sits exactly on the
-    horizon, with the cos(omega_s) of both of the linspace's ends. Days
-    are laid flat and put straight through the spherical transform, a
-    block of whole days at a time so temporaries stay near _BLOCK_SAMPLES long.
+    horizon, with the cos(omega_s) of both of the linspace's ends. A scalar
+    pass lists each day's rows, the samples weighed once and the days that
+    open a block (its days start in one _BLOCK_SAMPLES window); a block
+    repeats the rows over its samples and writes the transform into the grid.
     """
     model = model or IrradianceModel()
     phi = math.radians(loc.latitude_deg)
@@ -167,26 +172,27 @@ def _sample_days(loc: Location, period: tuple[int, int], model: IrradianceModel 
     decl = [_declination(day) for day in range(period[0], period[1] + 1)]
     spans = [_sunset_angle(tan_phi, x) for x in decl]
     step_deg = model.time_step_minutes / 4.0  # 15 deg of hour angle per hour
-    full = np.array([math.ceil(2.0 * s / step_deg) + 1 if s > 0.0 else 0 for s in spans])
-    counts = (full + 1) // 2
-    ends = np.cumsum(counts)
-    starts = ends - counts
-    spans = np.array(spans)
-    spacing = 2.0 * spans / np.maximum(full - 1, 1)  # np.linspace's step
-    sin_cos = np.array([(math.sin(x), math.cos(x)) for x in map(math.radians, decl)]).T
-    per_day = (starts, spacing, spans, *sin_cos)
-    samples = np.empty((3, int(ends[-1])))
-    edges = [0, *np.flatnonzero(np.diff(starts // _BLOCK_SAMPLES)) + 1, len(counts)]
-    for first, last in zip(edges, edges[1:]):
-        a, b, n = int(starts[first]), int(ends[last - 1]), counts[first:last]
-        start, step, span, sin_d, cos_d = (np.repeat(x[first:last], n) for x in per_day)
+    full = [math.ceil(2.0 * s / step_deg) + 1 if s > 0.0 else 0 for s in spans]
+    counts = [(n + 1) // 2 for n in full]
+    starts = [*itertools.accumulate(counts, initial=0)]  # day i is starts[i]:starts[i + 1]
+    once = [a for a, n in zip(starts, full) if n]  # k = 0: the two horizon half-steps
+    once += [b - 1 for b, n in zip(starts[1:], full) if n % 2]  # odd n: noon once
+    window = [a // _BLOCK_SAMPLES for a in starts]
+    edges = [i for i in range(1, len(counts)) if window[i] != window[i - 1]]
+    rad = [*map(math.radians, decl)]
+    spacing = [2.0 * s / max(n - 1, 1) for s, n in zip(spans, full)]  # np.linspace's step
+    per_day = np.array([starts[:-1], spacing, spans, [*map(math.sin, rad)], [*map(math.cos, rad)]])
+    counts = np.array(counts)
+    samples = np.empty((3, starts[-1]))
+    for first, last in zip([0, *edges], [*edges, len(counts)]):
+        a, b, n = starts[first], starts[last], counts[first:last]
+        start, step, span, sin_d, cos_d = (row.repeat(n) for row in per_day[:, first:last])
         omega = span - (np.arange(a, b, dtype=float) - start) * step  # sunset back to noon
-        hours = step / 7.5  # twice the two-sided trapezoid weight in hours
-        hours[starts[first:last][n > 0] - a] /= 2.0  # k = 0: the two horizon half-steps
-        hours[ends[first:last][full[first:last] % 2 == 1] - a - 1] /= 2.0  # odd n: noon once
-        up, south = _up_south(math.sin(phi), math.cos(phi), sin_d, cos_d, np.cos(np.radians(omega)))
-        hours *= _direct_normal(up)
-        samples[:, a:b] = south, up, hours
+        cos_omega = np.cos(np.radians(omega, out=omega), out=omega)
+        samples[1::-1, a:b] = _up_south(math.sin(phi), math.cos(phi), sin_d, cos_d, cos_omega)
+        weight = _direct_normal(samples[1, a:b], out=samples[2, a:b])
+        weight *= np.divide(step, 7.5, out=step)  # twice the two-sided trapezoid hours
+    samples[2, np.array(once, dtype=int)] /= 2.0  # exact, so the DNI may come first
     return _Grid(*samples, counts)
 
 

@@ -29,6 +29,7 @@ from .geometry import (
     Location,
     _check_day,
     _check_index,
+    _check_range,
     _declination,
     declination_exact,
     declination_simplified,
@@ -103,8 +104,7 @@ def _clamp_tilt(value: float) -> float:
 
 
 def _check_tilt(tilt_deg: float) -> float:
-    if not 0.0 <= tilt_deg <= 90.0:
-        raise ValueError(f"panel tilt must be in [0, 90] degrees, got {tilt_deg}")
+    _check_range(tilt_deg, 0.0, 90.0, "panel tilt must be in [0, 90] degrees")
     return float(tilt_deg)
 
 

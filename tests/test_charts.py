@@ -4,6 +4,7 @@ import io
 import json
 import math
 import pathlib
+import re
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -456,6 +457,22 @@ class TestSvgRendering:
         assert self.texts(svg, text_anchor="end") == ["0", "2.5e-05", "5e-05", "7.5e-05", "0.0001"]
         assert self.texts(svg, font_size="11", text_anchor="middle") == [
             "1000000", "1000000.2", "1000000.5", "1000000.8", "1000001"
+        ]
+
+    def test_rounding_noise_is_a_flat_axis(self, capsys):
+        # at the pole the sun circles at the declination; asin rounding spreads
+        # its elevations over 2 ulps (7.1e-15 at 23.45), which a five-tick axis
+        # would stretch over the plot with five labels of 23.45
+        argv = ["chart", "--days", "172", "--step", "30", "--format", "svg"]
+        assert main([*argv, "--lat", "90"]) == 0
+        svg = capsys.readouterr().out
+        assert self.texts(svg, text_anchor="end") == ["23.45", "23.7", "23.95", "24.2", "24.45"]
+        assert {p.split(",")[1] for p in re.search(r'points="([^"]*)"', svg)[1].split()} == {
+            "450.00"
+        }
+        assert main([*argv, "--lat", "89.999"]) == 0  # a narrow axis, not a flat one
+        assert self.texts(capsys.readouterr().out, text_anchor="end") == [
+            "23.4488", "23.4493", "23.4498", "23.4503", "23.4508"
         ]
 
     def test_flat_axis_far_from_zero_is_drawn(self):

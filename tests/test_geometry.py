@@ -27,10 +27,14 @@ class TestLocation:
         assert Location(90.0).latitude_deg == 90.0
         assert Location(-90.0).latitude_deg == -90.0
 
-    @pytest.mark.parametrize("bad", [90.1, -90.1, 180.0, float("inf")])
+    @pytest.mark.parametrize(
+        "bad", [90.1, -90.1, 180.0, float("inf"), True, False, np.True_, np.False_]
+    )
     def test_rejects_off_globe(self, bad):
-        with pytest.raises(ValueError):
+        # a bool too: True is the int 1 to Python, so it read as a site at 1 N
+        with pytest.raises(ValueError) as err:
             Location(bad)
+        assert str(err.value) == f"latitude must be in [-90, 90] degrees, got {bad}"
 
     def test_is_a_one_field_tuple(self):
         assert SITE == (32.7,) and SITE[0] == 32.7
@@ -218,10 +222,12 @@ class TestSunPosition:
         assert angles.zenith_deg == pytest.approx(90.0 - angles.elevation_deg, abs=1e-12)
         assert angles.declination_deg == pytest.approx(declination_exact(172), abs=1e-12)
 
-    @pytest.mark.parametrize("omega", [-180.1, 181.0, 720.0])
+    @pytest.mark.parametrize("omega", [-180.1, 181.0, 720.0, math.nan, True, False, np.True_])
     def test_rejects_out_of_range_hour_angle(self, omega):
-        with pytest.raises(ValueError):
+        # a bool is not an hour angle: True read as 1 deg
+        with pytest.raises(ValueError) as err:
             sun_position(SITE, 81, omega)
+        assert str(err.value) == f"hour angle must be in [-180, 180] degrees, got {omega}"
 
 
 class TestSunriseHourAngle:

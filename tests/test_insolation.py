@@ -113,16 +113,25 @@ class TestDirectNormal:
     def test_scalar_in_float_out(self, elevation):
         assert type(IrradianceModel().direct_normal(elevation)) is float
 
+    @pytest.mark.parametrize(
+        "bad", [math.nan, math.inf, -math.inf, np.float64("nan"), np.array([30.0, math.nan])]
+    )
+    def test_rejects_a_non_finite_elevation(self, bad):
+        # a nan elevation read as night (0.0) and a nan in an array as 0 W/m^2
+        with pytest.raises(ValueError, match="elevation must be finite degrees"):
+            IrradianceModel().direct_normal(bad)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             IrradianceModel(time_step_minutes=-1.0)
 
-    @pytest.mark.parametrize("step", [math.inf, math.nan, 0.05, 120.5])
+    @pytest.mark.parametrize("step", [math.inf, math.nan, 0.05, 120.5, True, np.True_])
     def test_rejects_unbounded_steps(self, step):
         # the bound is checked before any grid is built, so a tiny step
-        # never reaches an allocation
-        with pytest.raises(ValueError, match="time step"):
+        # never reaches an allocation; True was a 1-minute step
+        with pytest.raises(ValueError) as err:
             IrradianceModel(time_step_minutes=step)
+        assert str(err.value) == f"time step must be finite minutes in [0.1, 120], got {step}"
 
     @pytest.mark.parametrize("step", [0.1, 0.5, 120.0])
     def test_accepts_steps_at_the_bounds(self, step):
@@ -192,10 +201,11 @@ class TestIncidenceCosine:
                 value = incidence_cosine(SITE, 200, float(omega), tilt)
                 assert -1.0 - 1e-12 <= value <= 1.0 + 1e-12
 
-    @pytest.mark.parametrize("bad", [-90.5, 91.0])
+    @pytest.mark.parametrize("bad", [-90.5, 91.0, True, np.False_])
     def test_rejects_bad_tilt(self, bad):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as err:
             incidence_cosine(SITE, 81, 0.0, bad)
+        assert str(err.value) == f"tilt must be in [-90, 90] degrees, got {bad}"
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_rejects_a_non_finite_panel_azimuth(self, bad):
@@ -259,10 +269,12 @@ class TestDailyInsolation:
         full = daily_insolation(SITE, day, tilt, model).energy_wh_m2
         assert 2.0 * morning == pytest.approx(full, rel=1e-3)
 
-    @pytest.mark.parametrize("bad", [-0.1, 90.1])
+    @pytest.mark.parametrize("bad", [-0.1, 90.1, True, False, np.True_])
     def test_rejects_bad_tilt(self, bad):
-        with pytest.raises(ValueError):
+        # True was a 1 deg tilt labelled fixed(1.00)
+        with pytest.raises(ValueError) as err:
             daily_insolation(SITE, 81, bad)
+        assert str(err.value) == f"panel tilt must be in [0, 90] degrees, got {bad}"
 
     def test_rejects_bad_day(self):
         with pytest.raises(ValueError):
@@ -574,21 +586,30 @@ class TestBestTilt:
         assert np.all(b[: below[-1] + 2] == b[below[-1] + 1])
 
 
-def per_day_grid(lat, step_minutes):
-    """(horiz, vert, counts) of a full year, built day by day from the checked
-    sunrise_hour_angle and declination_exact with the grid's own arithmetic."""
-    phi = math.radians(lat)
-    horiz, vert, counts = [], [], []
-    for day in range(1, 366):
+def per_day_grid(lat, step_minutes, period=(1, 365)):
+    """(horiz, vert, weight, counts) of a period, built day by day from the checked
+    sunrise_hour_angle and declination_exact with the grid's own arithmetic, and
+    the DNI in the exp-log form of the module docstring."""
+    phi, cap = math.radians(lat), math.sin(math.radians(1.0))
+    horiz, vert, weight, counts = [], [], [], []
+    for day in range(period[0], period[1] + 1):
         omega_s = sunrise_hour_angle(Location(lat), day)
         n = math.ceil(2.0 * omega_s / (step_minutes / 4.0)) + 1 if omega_s > 0.0 else 0
         k = np.arange((n + 1) // 2)
-        cos_omega = np.cos(np.radians(omega_s - k * (2.0 * omega_s / max(n - 1, 1))))
+        spacing = 2.0 * omega_s / max(n - 1, 1)
+        cos_omega = np.cos(np.radians(omega_s - k * spacing))
         delta = math.radians(declination_exact(day))
-        vert.append(math.sin(phi) * math.sin(delta) + math.cos(phi) * math.cos(delta) * cos_omega)
+        up = math.sin(phi) * math.sin(delta) + math.cos(phi) * math.cos(delta) * cos_omega
+        vert.append(up)
         horiz.append(cos_omega * math.cos(delta) * math.sin(phi) - math.sin(delta) * math.cos(phi))
+        hours = np.full(k.size, spacing / 7.5)  # twice the two-sided trapezoid hours
+        hours[:1] /= 2.0  # k = 0 stands for both horizon half-steps
+        if n % 2:
+            hours[-1] /= 2.0  # an odd n's noon, which has no mirror
+        dni = 1353.0 * np.exp(math.log(0.7) * np.exp(-0.678 * np.log(np.maximum(up, cap))))
+        weight.append(hours * np.where(up > 0.0, dni, 0.0))
         counts.append(k.size)
-    return np.concatenate(horiz), np.concatenate(vert), np.array(counts)
+    return (*map(np.concatenate, (horiz, vert, weight)), np.array(counts))
 
 
 class TestSampleGrid:
@@ -598,11 +619,36 @@ class TestSampleGrid:
         # bit for bit: a last-bit change in a span or a declination moves the
         # horizon samples, whose sin(elev) is +-1e-16, across zero
         grid = _sample_days(Location(lat), (1, 365), IrradianceModel(step))
-        horiz, vert, counts = per_day_grid(lat, step)
+        horiz, vert, weight, counts = per_day_grid(lat, step)
         assert np.array_equal(grid.counts, counts)
         assert np.array_equal(grid.horiz, horiz)
         assert np.array_equal(grid.vert, vert)
+        assert np.array_equal(grid.weight, weight)
         assert np.array_equal(grid.weight > 0.0, vert > 0.0)
+
+    @pytest.mark.parametrize("lat", [-33.9, 32.7, 70.0])
+    @pytest.mark.parametrize("step", [0.1, 120.0])
+    @pytest.mark.parametrize("period", [(172, 172), (355, 355), (1, 91), BLOCK_CROSSING])
+    def test_equals_the_reference_on_short_periods(self, lat, step, period):
+        # one day (polar night at 70N on day 355), a quarter, and a period
+        # whose days fill more than one block at both steps
+        grid = _sample_days(Location(lat), period, IrradianceModel(step))
+        assert [row.dtype for row in grid] == [np.float64] * 3 + [np.int64]
+        for got, want in zip(grid, per_day_grid(lat, step, period)):
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("lat", [-33.9, 0.0, 70.0, 90.0])
+    @pytest.mark.parametrize("step", [1.0, 7.2])
+    def test_one_day_is_its_slice_of_the_year(self, lat, step):
+        # a day's samples do not depend on the other days in its block
+        loc, model = Location(lat), IrradianceModel(step)
+        year = _sample_days(loc, (1, 365), model)
+        ends = np.cumsum(year.counts)
+        for day, end, count in zip(range(1, 366), ends, year.counts):
+            one = _sample_days(loc, (day, day), model)
+            assert one.counts.tolist() == [count]
+            for got, whole in zip(one[:3], year[:3]):
+                assert np.array_equal(got, whole[end - count:end])
 
     @staticmethod
     def check_day(loc, day, horiz, vert, weight, model):
