@@ -115,6 +115,8 @@ def sunpath_chart(
     samples = [(12.0 + h, math.cos(w), math.sin(w)) for h, w in zip(offsets, omegas)]
     phi = math.radians(loc.latitude_deg)
     sin_phi, cos_phi = math.sin(phi), math.cos(phi)
+    if abs(loc.latitude_deg) == 90.0:  # cos(radians(90)) is 6.1e-17: noise on a flat path
+        sin_phi, cos_phi = math.copysign(1.0, loc.latitude_deg), 0.0
     for day in days:
         delta = math.radians(_declination(day))
         sin_d, cos_d = math.sin(delta), math.cos(delta)

@@ -8,7 +8,8 @@ there is no equation-of-time or longitude correction anywhere.
 
 Everything here is scalar `math`. The sun-path chart samples through
 _up_south and _angles one point at a time; _up_south is plain
-arithmetic, so the insolation grid puts numpy arrays through it too.
+arithmetic, so the insolation grid puts numpy rows through it too,
+in place.
 """
 from __future__ import annotations
 
@@ -141,11 +142,28 @@ def noon_zenith(loc: Location, day: int) -> float:
     return loc.latitude_deg - declination_exact(day)
 
 
-def _up_south(sin_phi, cos_phi, sin_delta, cos_delta, cos_omega):
+def _up_south(sin_phi, cos_phi, sin_delta, cos_delta, cos_omega, out=None):
     """The spherical transform: sin(elev) and cos(elev) cos(az) from the sines and
-    cosines of latitude, declination and hour angle (west is cos(delta) sin(omega))."""
-    up = sin_phi * sin_delta + cos_phi * cos_delta * cos_omega
-    return up, cos_omega * cos_delta * sin_phi - sin_delta * cos_phi
+    cosines of latitude, declination and hour angle (west is cos(delta) sin(omega)).
+
+    Arrays pass out=(up, south) rows, which receive the result; their sin_delta
+    and cos_delta rows are then scratch. The array terms are formed in place, in
+    the scalar lines' order, so each rounds alike (a - b is a + (-b), bit for bit).
+    """
+    if out is None:
+        up = sin_phi * sin_delta + cos_phi * cos_delta * cos_omega
+        return up, cos_omega * cos_delta * sin_phi - sin_delta * cos_phi
+    up, south = out
+    up[...], south[...] = cos_delta, sin_delta
+    up *= cos_phi
+    up *= cos_omega
+    south *= -cos_phi
+    cos_delta *= cos_omega
+    cos_delta *= sin_phi
+    south += cos_delta
+    sin_delta *= sin_phi
+    up += sin_delta
+    return up, south
 
 
 def _sun_vector(

@@ -20,7 +20,6 @@ holds each day from noon to sunset and weighs it twice for the morning.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -34,6 +33,7 @@ from .geometry import (
     _check_range,
     _check_step,
     _declination,
+    _is_bool,
     _sun_vector,
     _sunset_angle,
     _up_south,
@@ -70,6 +70,9 @@ class IrradianceModel:
             raise ValueError(f"elevation must be finite degrees, got {elevation_deg}")
         out = _direct_normal(np.sin(np.radians(np.atleast_1d(elevation_deg))))
         return float(out[0]) if np.ndim(elevation_deg) == 0 else out
+
+
+_DEFAULT_MODEL = IrradianceModel()
 
 
 def _direct_normal(sin_elev: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -134,7 +137,7 @@ def incidence_cosine(
     panel this reduces to sin(noon_elevation + tilt).
     """
     _check_range(tilt_deg, -90.0, 90.0, "tilt must be in [-90, 90] degrees")
-    if not math.isfinite(panel_azimuth_deg):
+    if _is_bool(panel_azimuth_deg) or not math.isfinite(panel_azimuth_deg):
         raise ValueError(f"panel azimuth must be finite degrees, got {panel_azimuth_deg}")
     _, up, south, west = _sun_vector(loc, day, hour_angle_deg)
     panel, tilt = math.radians(panel_azimuth_deg), math.radians(tilt_deg)
@@ -160,37 +163,48 @@ def _sample_days(loc: Location, period: tuple[int, int], model: IrradianceModel 
     sample weighs twice its two-sided trapezoid weight, except an odd n's
     noon sample, which has no mirror image (found by n's parity, since its
     omega rounds to about +-1e-17, either sign). k = 0 sits exactly on the
-    horizon, with the cos(omega_s) of both of the linspace's ends. A scalar
-    pass lists each day's rows, the samples weighed once and the days that
-    open a block (its days start in one _BLOCK_SAMPLES window); a block
-    repeats the rows over its samples and writes the transform into the grid.
+    horizon, with the cos(omega_s) of both of the linspace's ends. One scalar
+    pass over the days lists each day's row, the samples weighed once and the
+    blocks (a block's days start in one _BLOCK_SAMPLES window); a block repeats
+    the rows over its samples, which then serve as scratch for the transform
+    that _up_south writes straight into the grid.
     """
-    model = model or IrradianceModel()
+    step_deg = (model or _DEFAULT_MODEL).time_step_minutes / 4.0  # 15 deg of hour angle an hour
     phi = math.radians(loc.latitude_deg)
-    tan_phi = math.tan(phi)
-    # scalar math, as in sunrise_hour_angle: a last-bit change in a span flips horizon weights
-    decl = [_declination(day) for day in range(period[0], period[1] + 1)]
-    spans = [_sunset_angle(tan_phi, x) for x in decl]
-    step_deg = model.time_step_minutes / 4.0  # 15 deg of hour angle per hour
-    full = [math.ceil(2.0 * s / step_deg) + 1 if s > 0.0 else 0 for s in spans]
-    counts = [(n + 1) // 2 for n in full]
-    starts = [*itertools.accumulate(counts, initial=0)]  # day i is starts[i]:starts[i + 1]
-    once = [a for a, n in zip(starts, full) if n]  # k = 0: the two horizon half-steps
-    once += [b - 1 for b, n in zip(starts[1:], full) if n % 2]  # odd n: noon once
-    window = [a // _BLOCK_SAMPLES for a in starts]
-    edges = [i for i in range(1, len(counts)) if window[i] != window[i - 1]]
-    rad = [*map(math.radians, decl)]
-    spacing = [2.0 * s / max(n - 1, 1) for s, n in zip(spans, full)]  # np.linspace's step
-    per_day = np.array([starts[:-1], spacing, spans, [*map(math.sin, rad)], [*map(math.cos, rad)]])
-    counts = np.array(counts)
-    samples = np.empty((3, starts[-1]))
-    for first, last in zip([0, *edges], [*edges, len(counts)]):
-        a, b, n = starts[first], starts[last], counts[first:last]
-        start, step, span, sin_d, cos_d = (row.repeat(n) for row in per_day[:, first:last])
-        omega = span - (np.arange(a, b, dtype=float) - start) * step  # sunset back to noon
+    sin_phi, cos_phi, tan_phi = math.sin(phi), math.cos(phi), math.tan(phi)
+    per_day, counts, once = [], [], []
+    blocks = [(0, 0)]  # (first day, first sample) of each block
+    end = 0
+    for day in range(period[0], period[1] + 1):
+        # scalar math, as in sunrise_hour_angle: a last-bit change in a span flips horizon weights
+        decl = _declination(day)
+        span = _sunset_angle(tan_phi, decl)
+        n = math.ceil(2.0 * span / step_deg) + 1 if span > 0.0 else 0
+        start, end = end, end + (n + 1) // 2  # the day is samples start:end
+        if n:
+            once.append(start)  # k = 0: the two horizon half-steps
+        if n % 2:
+            once.append(end - 1)  # odd n: noon once
+        if start // _BLOCK_SAMPLES > blocks[-1][1] // _BLOCK_SAMPLES:
+            blocks.append((len(counts), start))
+        delta = math.radians(decl)
+        spacing = 2.0 * span / max(n - 1, 1)  # np.linspace's step
+        per_day.append((start, spacing, span, math.sin(delta), math.cos(delta)))
+        counts.append(end - start)
+    blocks.append((len(counts), end))
+    per_day, counts = np.array(per_day).T, np.array(counts)
+    samples = np.empty((3, end))
+    for (first, a), (last, b) in zip(blocks, blocks[1:]):
+        n = counts[first:last]
+        start, step, omega, sin_d, cos_d = (row.repeat(n) for row in per_day[:, first:last])
+        k = np.arange(a, b, dtype=float)
+        k -= start
+        k *= step
+        omega -= k  # sunset back to noon
         cos_omega = np.cos(np.radians(omega, out=omega), out=omega)
-        samples[1::-1, a:b] = _up_south(math.sin(phi), math.cos(phi), sin_d, cos_d, cos_omega)
-        weight = _direct_normal(samples[1, a:b], out=samples[2, a:b])
+        horiz, vert, weight = samples[:, a:b]
+        _up_south(sin_phi, cos_phi, sin_d, cos_d, cos_omega, out=(vert, horiz))
+        _direct_normal(vert, out=weight)
         weight *= np.divide(step, 7.5, out=step)  # twice the two-sided trapezoid hours
     samples[2, np.array(once, dtype=int)] /= 2.0  # exact, so the DNI may come first
     return _Grid(*samples, counts)
@@ -198,10 +212,12 @@ def _sample_days(loc: Location, period: tuple[int, int], model: IrradianceModel 
 
 def _energy(grid: _Grid, tilt_deg) -> float:
     """Wh/m^2: weight @ max(0, sin(tilt) horiz + cos(tilt) vert), one tilt or one per day."""
-    tilt = np.radians(tilt_deg)
-    sin_t, cos_t = np.sin(tilt), np.cos(tilt)
-    if np.ndim(tilt):  # one tilt per day, over that day's samples
-        sin_t, cos_t = np.repeat(sin_t, grid.counts), np.repeat(cos_t, grid.counts)
+    if isinstance(tilt_deg, (int, float)):  # one tilt: numpy's bits, without 3 scalar ufuncs
+        tilt = math.radians(tilt_deg)
+        sin_t, cos_t = math.sin(tilt), math.cos(tilt)
+    else:  # one tilt per day, over that day's samples
+        tilt = np.radians(tilt_deg)
+        sin_t, cos_t = np.repeat(np.sin(tilt), grid.counts), np.repeat(np.cos(tilt), grid.counts)
     sin_t *= grid.horiz  # in place for per-day tilts: two rows, not four
     cos_t *= grid.vert
     cos_theta = np.add(sin_t, cos_t, out=sin_t)

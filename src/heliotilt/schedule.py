@@ -223,9 +223,9 @@ class TiltPolicy:
 
     def __init__(self, label: str, tilts_deg: Sequence[float]):
         tilts = list(tilts_deg)
-        out_of_range = [t for t in tilts if not 0.0 <= t <= 90.0]  # one pass, no call per tilt
-        if out_of_range:
-            _check_tilt(out_of_range[0])  # raises its ValueError
+        # one pass with no call per float tilt; any other type (a bool too) gets _check_tilt
+        for tilt in [t for t in tilts if t.__class__ is not float or not 0.0 <= t <= 90.0]:
+            _check_tilt(tilt)
         if len(tilts) != DAYS_PER_YEAR:
             raise ValueError(f"a policy needs {DAYS_PER_YEAR} tilts, got {len(tilts)}")
         self.label = label

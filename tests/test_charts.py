@@ -21,6 +21,7 @@ from heliotilt import (
     compass_azimuth,
     daily_tilt,
     daily_tilt_details,
+    declination_exact,
     monthly_schedule,
     schedule_table,
     sun_day_rows,
@@ -123,6 +124,18 @@ class TestSunpathChart:
         for e, a, (_, sun) in zip(elev.y, az.y, want):
             assert abs(e - sun.elevation_deg) <= 1e-12
             assert abs(math.remainder(a - compass_azimuth(sun.azimuth_deg), 360.0)) <= 1e-12
+
+    @pytest.mark.parametrize("lat", [90.0, -90.0])
+    def test_pole_paths_are_flat(self, lat):
+        # at a pole the sun circles at +-declination: every sample of a day
+        # has the same elevation, bit for bit, on the horizon all day on day 81
+        for series in sunpath_chart(Location(lat), range(1, 366), 30.0):
+            day = series.metadata["day"]
+            assert len(set(series.y)) <= 1
+            if series.y:
+                assert abs(series.y[0] - math.copysign(1.0, lat) * declination_exact(day)) <= 1e-12
+        equinox = sunpath_chart(Location(lat), (81,), 30.0)[0]
+        assert equinox.x == tuple(k / 2.0 for k in range(49)) and set(equinox.y) == {0.0}
 
     def test_peak_sits_at_solar_noon(self):
         for day, peak in ((172, 80.7498), (355, 33.8502)):
@@ -474,6 +487,15 @@ class TestSvgRendering:
         assert self.texts(capsys.readouterr().out, text_anchor="end") == [
             "23.4488", "23.4493", "23.4498", "23.4503", "23.4508"
         ]
+        # near the equinox a few ulps of the sine of 90 deg are many ulps of
+        # an elevation of 0.40, so only exact trig at the pole makes it flat
+        argv = ["chart", "--days", "82", "--step", "30", "--format", "svg", "--lat", "90"]
+        assert main(argv) == 0
+        svg = capsys.readouterr().out
+        assert self.texts(svg, text_anchor="end") == ["0.404", "0.654", "0.904", "1.154", "1.404"]
+        assert {p.split(",")[1] for p in re.search(r'points="([^"]*)"', svg)[1].split()} == {
+            "450.00"
+        }
 
     def test_flat_axis_far_from_zero_is_drawn(self):
         svg = render_svg([ChartSeries("s", (0.0, 1.0), (-1e20, -1e20))], "t", "x", "y")

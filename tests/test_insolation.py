@@ -207,10 +207,11 @@ class TestIncidenceCosine:
             incidence_cosine(SITE, 81, 0.0, bad)
         assert str(err.value) == f"tilt must be in [-90, 90] degrees, got {bad}"
 
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, True, np.False_])
     def test_rejects_a_non_finite_panel_azimuth(self, bad):
-        with pytest.raises(ValueError, match="panel azimuth"):
+        with pytest.raises(ValueError) as err:  # a bool is not 1 or 0 deg
             incidence_cosine(SITE, 81, 0.0, 30.0, panel_azimuth_deg=bad)
+        assert str(err.value) == f"panel azimuth must be finite degrees, got {bad}"
 
 
 class TestDailyInsolation:
@@ -552,6 +553,20 @@ BEST_TILT_CASES = [
 ]
 
 
+class TestEnergy:
+    @pytest.mark.parametrize("lat", SWEEP_LATITUDES)
+    @pytest.mark.parametrize("tilt", [0.0, 17.3, 45.0, 90.0])
+    def test_one_tilt_is_that_tilt_on_every_day(self, lat, tilt):
+        # bit for bit: the one-tilt path takes its sine and cosine from math,
+        # the per-day path and the documented form from numpy
+        grid = _sample_days(Location(lat), (1, 365), IrradianceModel())
+        rad = np.radians(tilt)
+        cos_theta = np.sin(rad) * grid.horiz + np.cos(rad) * grid.vert
+        energy = _energy(grid, tilt)
+        assert energy == _energy(grid, (tilt,) * 365)
+        assert energy == float(grid.weight @ np.maximum(cos_theta, 0.0))
+
+
 class TestBestTilt:
     @pytest.mark.parametrize("lat,period,model", BEST_TILT_CASES)
     def test_equals_the_clipped_peak_argmax(self, lat, period, model):
@@ -628,10 +643,13 @@ class TestSampleGrid:
 
     @pytest.mark.parametrize("lat", [-33.9, 32.7, 70.0])
     @pytest.mark.parametrize("step", [0.1, 120.0])
-    @pytest.mark.parametrize("period", [(172, 172), (355, 355), (1, 91), BLOCK_CROSSING])
+    @pytest.mark.parametrize(
+        "period", [(172, 172), (355, 355), (1, 91), BLOCK_CROSSING, (1, 30), (340, 365)]
+    )
     def test_equals_the_reference_on_short_periods(self, lat, step, period):
-        # one day (polar night at 70N on day 355), a quarter, and a period
-        # whose days fill more than one block at both steps
+        # one day (polar night at 70N on day 355), a quarter, a period whose
+        # days fill more than one block at both steps, and two that mix
+        # polar-night and lit days at 70N
         grid = _sample_days(Location(lat), period, IrradianceModel(step))
         assert [row.dtype for row in grid] == [np.float64] * 3 + [np.int64]
         for got, want in zip(grid, per_day_grid(lat, step, period)):
@@ -827,13 +845,21 @@ class TestPolicyTilts:
             with pytest.raises(ValueError, match="365 tilts"):
                 TiltPolicy("x", (30.0,) * days)
 
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1e-9, 90.0 + 1e-9])
+    @pytest.mark.parametrize(
+        "bad", [math.nan, math.inf, -math.inf, -1e-9, 90.0 + 1e-9, True, False, np.True_, np.False_]
+    )
     def test_rejects_a_bad_tilt_as_check_tilt_does(self, bad):
         with pytest.raises(ValueError) as single:
             _check_tilt(bad)
         with pytest.raises(ValueError) as policy:
             TiltPolicy("x", [30.0] * 200 + [bad] + [30.0] * 164)
         assert str(policy.value) == str(single.value)
+        with pytest.raises(ValueError) as fixed:  # a bool is not 1 or 0 deg either
+            TiltPolicy.fixed(bad)
+        assert str(fixed.value) == str(single.value)
+
+    def test_takes_whole_degrees(self):
+        assert TiltPolicy("x", [30] * 365).tilts_deg == (30.0,) * 365
 
     def test_takes_a_numpy_array_as_python_floats(self):
         tilts = np.linspace(0.0, 90.0, 365)
