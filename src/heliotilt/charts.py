@@ -18,6 +18,7 @@ from .geometry import (
     _check_day,
     _check_step,
     _declination,
+    _latitude_sin_cos,
     _up_south,
     compass_azimuth,
 )
@@ -113,10 +114,7 @@ def sunpath_chart(
     # to 180.00000000000003, which its range check rejects
     omegas = [math.radians(h * 15.0) for h in offsets]
     samples = [(12.0 + h, math.cos(w), math.sin(w)) for h, w in zip(offsets, omegas)]
-    phi = math.radians(loc.latitude_deg)
-    sin_phi, cos_phi = math.sin(phi), math.cos(phi)
-    if abs(loc.latitude_deg) == 90.0:  # cos(radians(90)) is 6.1e-17: noise on a flat path
-        sin_phi, cos_phi = math.copysign(1.0, loc.latitude_deg), 0.0
+    sin_phi, cos_phi = _latitude_sin_cos(loc.latitude_deg)  # a flat path at +-90
     for day in days:
         delta = math.radians(_declination(day))
         sin_d, cos_d = math.sin(delta), math.cos(delta)

@@ -142,27 +142,35 @@ def noon_zenith(loc: Location, day: int) -> float:
     return loc.latitude_deg - declination_exact(day)
 
 
+def _latitude_sin_cos(latitude_deg: float) -> tuple[float, float]:
+    """sin and cos of a latitude, exactly +-1 and 0 at +-90: there cos(radians(90))
+    is 6.1e-17, noise that would lift a sun on the horizon above it."""
+    if abs(latitude_deg) == 90.0:
+        return math.copysign(1.0, latitude_deg), 0.0
+    phi = math.radians(latitude_deg)
+    return math.sin(phi), math.cos(phi)
+
+
 def _up_south(sin_phi, cos_phi, sin_delta, cos_delta, cos_omega, out=None):
     """The spherical transform: sin(elev) and cos(elev) cos(az) from the sines and
     cosines of latitude, declination and hour angle (west is cos(delta) sin(omega)).
 
-    Arrays pass out=(up, south) rows, which receive the result; their sin_delta
-    and cos_delta rows are then scratch. The array terms are formed in place, in
-    the scalar lines' order, so each rounds alike (a - b is a + (-b), bit for bit).
+    With a cos_omega row, out=(up, south) rows receive the result and cos_omega is
+    the one scratch row; sin_delta and cos_delta, scalars or rows, are only read.
+    The array terms are formed in the scalar lines' product order, so each rounds
+    alike (a - b is a + (-b), bit for bit).
     """
     if out is None:
         up = sin_phi * sin_delta + cos_phi * cos_delta * cos_omega
         return up, cos_omega * cos_delta * sin_phi - sin_delta * cos_phi
     up, south = out
-    up[...], south[...] = cos_delta, sin_delta
-    up *= cos_phi
+    up[...] = cos_delta * cos_phi
     up *= cos_omega
-    south *= -cos_phi
-    cos_delta *= cos_omega
-    cos_delta *= sin_phi
-    south += cos_delta
-    sin_delta *= sin_phi
-    up += sin_delta
+    south[...] = sin_delta * -cos_phi
+    cos_omega *= cos_delta
+    cos_omega *= sin_phi
+    south += cos_omega
+    up += sin_delta * sin_phi
     return up, south
 
 

@@ -34,6 +34,7 @@ from .geometry import (
     _check_step,
     _declination,
     _is_bool,
+    _latitude_sin_cos,
     _sun_vector,
     _sunset_angle,
     _up_south,
@@ -64,9 +65,9 @@ class IrradianceModel:
         """Direct-normal irradiance in W/m^2 for a sun elevation.
 
         Scalar in, scalar out; ndarray in, ndarray out. Zero at and
-        below the horizon; a non-finite elevation is a ValueError.
+        below the horizon; a non-finite or bool elevation is a ValueError.
         """
-        if not np.all(np.isfinite(elevation_deg)):
+        if _is_bool(elevation_deg) or not np.all(np.isfinite(elevation_deg)):
             raise ValueError(f"elevation must be finite degrees, got {elevation_deg}")
         out = _direct_normal(np.sin(np.radians(np.atleast_1d(elevation_deg))))
         return float(out[0]) if np.ndim(elevation_deg) == 0 else out
@@ -165,13 +166,14 @@ def _sample_days(loc: Location, period: tuple[int, int], model: IrradianceModel 
     omega rounds to about +-1e-17, either sign). k = 0 sits exactly on the
     horizon, with the cos(omega_s) of both of the linspace's ends. One scalar
     pass over the days lists each day's row, the samples weighed once and the
-    blocks (a block's days start in one _BLOCK_SAMPLES window); a block repeats
-    the rows over its samples, which then serve as scratch for the transform
-    that _up_south writes straight into the grid.
+    blocks (a block's days start in one _BLOCK_SAMPLES window). A one-day period
+    broadcasts its row over its samples; a longer one repeats the rows of each
+    block over the block's samples. Either way the rows are only read, and
+    _up_south writes the transform straight into the grid.
     """
     step_deg = (model or _DEFAULT_MODEL).time_step_minutes / 4.0  # 15 deg of hour angle an hour
-    phi = math.radians(loc.latitude_deg)
-    sin_phi, cos_phi, tan_phi = math.sin(phi), math.cos(phi), math.tan(phi)
+    sin_phi, cos_phi = _latitude_sin_cos(loc.latitude_deg)  # no horizon noise at +-90
+    tan_phi = math.tan(math.radians(loc.latitude_deg))  # sunrise_hour_angle's spans, +-90 too
     per_day, counts, once = [], [], []
     blocks = [(0, 0)]  # (first day, first sample) of each block
     end = 0
@@ -189,24 +191,34 @@ def _sample_days(loc: Location, period: tuple[int, int], model: IrradianceModel 
             blocks.append((len(counts), start))
         delta = math.radians(decl)
         spacing = 2.0 * span / max(n - 1, 1)  # np.linspace's step
-        per_day.append((start, spacing, span, math.sin(delta), math.cos(delta)))
+        hours = spacing / 7.5  # twice the two-sided trapezoid hours
+        per_day.append((start, spacing, span, math.sin(delta), math.cos(delta), hours))
         counts.append(end - start)
     blocks.append((len(counts), end))
-    per_day, counts = np.array(per_day).T, np.array(counts)
-    samples = np.empty((3, end))
-    for (first, a), (last, b) in zip(blocks, blocks[1:]):
-        n = counts[first:last]
-        start, step, omega, sin_d, cos_d = (row.repeat(n) for row in per_day[:, first:last])
-        k = np.arange(a, b, dtype=float)
-        k -= start
-        k *= step
-        omega -= k  # sunset back to noon
+
+    def fill(samples, k, spacing, span, sin_d, cos_d, hours):
+        """Samples from the day terms, scalars or rows; k, the index in the day, is scratch."""
+        k *= spacing
+        omega = np.subtract(span, k, out=k)  # sunset back to noon
         cos_omega = np.cos(np.radians(omega, out=omega), out=omega)
-        horiz, vert, weight = samples[:, a:b]
+        horiz, vert, weight = samples
         _up_south(sin_phi, cos_phi, sin_d, cos_d, cos_omega, out=(vert, horiz))
         _direct_normal(vert, out=weight)
-        weight *= np.divide(step, 7.5, out=step)  # twice the two-sided trapezoid hours
-    samples[2, np.array(once, dtype=int)] /= 2.0  # exact, so the DNI may come first
+        weight *= hours
+
+    counts, samples = np.array(counts), np.empty((3, end))
+    if counts.size == 1:  # the day's own scalars, broadcast over its samples
+        fill(samples, np.arange(end, dtype=float), *per_day[0][1:])
+        for i in once:
+            samples[2, i] /= 2.0  # exact, so the DNI may come first
+    else:
+        rows = np.array(per_day).T
+        for (first, a), (last, b) in zip(blocks, blocks[1:]):
+            start, *block = (row.repeat(counts[first:last]) for row in rows[:, first:last])
+            k = np.arange(a, b, dtype=float)
+            k -= start
+            fill(samples[:, a:b], k, *block)
+        samples[2, np.array(once, dtype=int)] /= 2.0
     return _Grid(*samples, counts)
 
 

@@ -114,10 +114,13 @@ class TestDirectNormal:
         assert type(IrradianceModel().direct_normal(elevation)) is float
 
     @pytest.mark.parametrize(
-        "bad", [math.nan, math.inf, -math.inf, np.float64("nan"), np.array([30.0, math.nan])]
+        "bad",
+        [math.nan, math.inf, -math.inf, np.float64("nan"), np.array([30.0, math.nan]),
+         True, False, np.True_, np.array([True, False])],
     )
     def test_rejects_a_non_finite_elevation(self, bad):
-        # a nan elevation read as night (0.0) and a nan in an array as 0 W/m^2
+        # a nan elevation read as night (0.0) and a nan in an array as 0 W/m^2;
+        # True read as a 1 deg sun, 5.277 W/m^2
         with pytest.raises(ValueError, match="elevation must be finite degrees"):
             IrradianceModel().direct_normal(bad)
 
@@ -270,6 +273,13 @@ class TestDailyInsolation:
         full = daily_insolation(SITE, day, tilt, model).energy_wh_m2
         assert 2.0 * morning == pytest.approx(full, rel=1e-3)
 
+    @pytest.mark.parametrize("lat", [90.0, -90.0])
+    @pytest.mark.parametrize("tilt", [0.0, 45.0, 90.0])
+    def test_pole_equinox_is_dark(self, lat, tilt):
+        # the sun circles on the horizon all day; cos(radians(90)) = 6.1e-17
+        # lifted it above, worth 40.18 Wh/m^2 at 90 N and tilt 90
+        assert daily_insolation(Location(lat), 81, tilt).energy_wh_m2 == 0.0
+
     @pytest.mark.parametrize("bad", [-0.1, 90.1, True, False, np.True_])
     def test_rejects_bad_tilt(self, bad):
         # True was a 1 deg tilt labelled fixed(1.00)
@@ -280,6 +290,13 @@ class TestDailyInsolation:
     def test_rejects_bad_day(self):
         with pytest.raises(ValueError):
             daily_insolation(SITE, 0, 30.0)
+
+
+def latitude_sin_cos(lat):
+    """sin and cos of a latitude, exactly +-1 and 0 at +-90, as the README states."""
+    if abs(lat) == 90.0:
+        return math.copysign(1.0, lat), 0.0
+    return math.sin(math.radians(lat)), math.cos(math.radians(lat))
 
 
 def trapezoid_bounds(lat, day, tilt, step_minutes=1.0):
@@ -299,8 +316,9 @@ def trapezoid_bounds(lat, day, tilt, step_minutes=1.0):
     omega_s = 180.0 if x <= -1.0 else math.degrees(math.acos(x))
     n = math.ceil(2.0 * omega_s / (step_minutes / 4.0))
     omega = np.radians(np.linspace(-omega_s, omega_s, n + 1))
-    phi, delta, s = math.radians(lat), math.radians(decl), math.radians(lat - tilt)
-    sin_elev = math.sin(phi) * math.sin(delta) + math.cos(phi) * math.cos(delta) * np.cos(omega)
+    (sin_phi, cos_phi), s = latitude_sin_cos(lat), math.radians(lat - tilt)
+    delta = math.radians(decl)
+    sin_elev = sin_phi * math.sin(delta) + cos_phi * math.cos(delta) * np.cos(omega)
     zenith = np.minimum(np.degrees(np.arccos(np.clip(sin_elev, -1.0, 1.0))), 89.0)
     dni = 1353.0 * 0.7 ** ((1.0 / np.cos(np.radians(zenith))) ** 0.678)
     cos_i = math.sin(s) * math.sin(delta) + math.cos(s) * math.cos(delta) * np.cos(omega)
@@ -326,9 +344,9 @@ def full_day_grid(lat, day, step_minutes):
         return np.zeros(0), np.zeros(0), np.zeros(0)
     n = math.ceil(2.0 * omega_s / (step_minutes / 4.0)) + 1
     omega = np.radians(np.linspace(-omega_s, omega_s, n))
-    phi, delta = math.radians(lat), np.radians(declination_exact(day))
-    horiz = np.cos(delta) * np.cos(omega) * math.sin(phi) - np.sin(delta) * math.cos(phi)
-    vert = math.sin(phi) * np.sin(delta) + math.cos(phi) * np.cos(delta) * np.cos(omega)
+    (sin_phi, cos_phi), delta = latitude_sin_cos(lat), np.radians(declination_exact(day))
+    horiz = np.cos(delta) * np.cos(omega) * sin_phi - np.sin(delta) * cos_phi
+    vert = sin_phi * np.sin(delta) + cos_phi * np.cos(delta) * np.cos(omega)
     air_mass = 1.0 / np.maximum(vert, math.sin(math.radians(1.0)))
     dni = np.where(vert > 0.0, 1353.0 * 0.7 ** (air_mass ** 0.678), 0.0)
     half = np.diff(omega * 12.0 / math.pi) / 2.0  # radians of hour angle to hours
@@ -605,7 +623,7 @@ def per_day_grid(lat, step_minutes, period=(1, 365)):
     """(horiz, vert, weight, counts) of a period, built day by day from the checked
     sunrise_hour_angle and declination_exact with the grid's own arithmetic, and
     the DNI in the exp-log form of the module docstring."""
-    phi, cap = math.radians(lat), math.sin(math.radians(1.0))
+    (sin_phi, cos_phi), cap = latitude_sin_cos(lat), math.sin(math.radians(1.0))
     horiz, vert, weight, counts = [], [], [], []
     for day in range(period[0], period[1] + 1):
         omega_s = sunrise_hour_angle(Location(lat), day)
@@ -614,9 +632,9 @@ def per_day_grid(lat, step_minutes, period=(1, 365)):
         spacing = 2.0 * omega_s / max(n - 1, 1)
         cos_omega = np.cos(np.radians(omega_s - k * spacing))
         delta = math.radians(declination_exact(day))
-        up = math.sin(phi) * math.sin(delta) + math.cos(phi) * math.cos(delta) * cos_omega
+        up = sin_phi * math.sin(delta) + cos_phi * math.cos(delta) * cos_omega
         vert.append(up)
-        horiz.append(cos_omega * math.cos(delta) * math.sin(phi) - math.sin(delta) * math.cos(phi))
+        horiz.append(cos_omega * math.cos(delta) * sin_phi - math.sin(delta) * cos_phi)
         hours = np.full(k.size, spacing / 7.5)  # twice the two-sided trapezoid hours
         hours[:1] /= 2.0  # k = 0 stands for both horizon half-steps
         if n % 2:
@@ -644,21 +662,25 @@ class TestSampleGrid:
     @pytest.mark.parametrize("lat", [-33.9, 32.7, 70.0])
     @pytest.mark.parametrize("step", [0.1, 120.0])
     @pytest.mark.parametrize(
-        "period", [(172, 172), (355, 355), (1, 91), BLOCK_CROSSING, (1, 30), (340, 365)]
+        "period",
+        [(172, 172), (355, 355), (1, 91), BLOCK_CROSSING, (1, 30), (340, 365), (81, 81),
+         (22, 22), (25, 25)],
     )
     def test_equals_the_reference_on_short_periods(self, lat, step, period):
         # one day (polar night at 70N on day 355), a quarter, a period whose
-        # days fill more than one block at both steps, and two that mix
-        # polar-night and lit days at 70N
+        # days fill more than one block at both steps, two that mix polar-night
+        # and lit days at 70N, and three more single days: at 70N and step 120
+        # day 22 keeps one sample (n = 2) and day 25 two, both halved (n = 3)
         grid = _sample_days(Location(lat), period, IrradianceModel(step))
         assert [row.dtype for row in grid] == [np.float64] * 3 + [np.int64]
         for got, want in zip(grid, per_day_grid(lat, step, period)):
             assert np.array_equal(got, want)
 
-    @pytest.mark.parametrize("lat", [-33.9, 0.0, 70.0, 90.0])
-    @pytest.mark.parametrize("step", [1.0, 7.2])
+    @pytest.mark.parametrize("lat", [-33.9, 0.0, 70.0, 89.999, 90.0])
+    @pytest.mark.parametrize("step", [0.1, 1.0, 7.2, 120.0])
     def test_one_day_is_its_slice_of_the_year(self, lat, step):
-        # a day's samples do not depend on the other days in its block
+        # a day's samples do not depend on the other days in its block, and
+        # a one-day period, built from its own scalars, equals the block loop
         loc, model = Location(lat), IrradianceModel(step)
         year = _sample_days(loc, (1, 365), model)
         ends = np.cumsum(year.counts)
