@@ -28,6 +28,7 @@ from .schedule import (
     TiltMode,
     _CUM_DAYS,
     _DAYS,
+    _MODES,
     _daily_year,
     _seasonal,
     monthly_schedule,
@@ -40,17 +41,6 @@ Column = tuple[str, "int | None", "str | None"]
 
 DEFAULT_CHART_DAYS = tuple(before + 21 for before in _CUM_DAYS)  # the 21st of each month
 _CSV_SPECIAL = (",", '"', "\n", "\r")
-
-_OFFSET_NOTES = {
-    TiltMode.PAPER: (
-        "as-published offsets: July is latitude -24.45 deg rather than the "
-        "symmetric -23.45, so the minimum tilt sits 1 deg below exact mode"
-    ),
-    TiltMode.EXACT: (
-        "symmetric offsets: tilts interpolate linearly between latitude "
-        "+23.45 and latitude -23.45 deg"
-    ),
-}
 
 
 class _ChartSeries(NamedTuple):
@@ -218,7 +208,7 @@ def schedule_table(
             "mode": mode.value,
             "tilt_min_deg": min(monthly.betas_deg),
             "tilt_max_deg": max(monthly.betas_deg),
-            "offset_note": _OFFSET_NOTES[mode],
+            "offset_note": _MODES[mode][1],
         },
     )
 

@@ -184,9 +184,10 @@ def _sun_vector(
     """
     decl = _declination(_check_day(day))
     _check_range(hour_angle_deg, -180.0, 180.0, "hour angle must be in [-180, 180] degrees")
-    phi, delta, omega = map(math.radians, (loc.latitude_deg, decl, hour_angle_deg))
+    sin_phi, cos_phi = _latitude_sin_cos(loc.latitude_deg)
+    delta, omega = math.radians(decl), math.radians(hour_angle_deg)
     cos_d = math.cos(delta)
-    up, south = _up_south(math.sin(phi), math.cos(phi), math.sin(delta), cos_d, math.cos(omega))
+    up, south = _up_south(sin_phi, cos_phi, math.sin(delta), cos_d, math.cos(omega))
     return decl, up, south, cos_d * math.sin(omega)
 
 

@@ -72,12 +72,17 @@ EXACT_OFFSETS_DEG = tuple(
     for n in range(1, 13)
 )
 
-_OFFSETS = {TiltMode.PAPER: PAPER_OFFSETS_DEG, TiltMode.EXACT: EXACT_OFFSETS_DEG}
+_MODES = {  # each mode's offsets and the offset_note of its schedule tables
+    TiltMode.PAPER: (PAPER_OFFSETS_DEG, "as-published offsets: July is latitude -24.45 deg rather"
+                     " than the symmetric -23.45, so the minimum tilt sits 1 deg below exact mode"),
+    TiltMode.EXACT: (EXACT_OFFSETS_DEG, "symmetric offsets: tilts interpolate linearly between"
+                     " latitude +23.45 and latitude -23.45 deg"),
+}
 
 
 def offsets_for(mode: TiltMode) -> tuple[float, ...]:
     """The twelve monthly offsets (January first) for a mode."""
-    return _OFFSETS[TiltMode(mode)]
+    return _MODES[TiltMode(mode)][0]
 
 
 def month_of_day(day: int) -> int:
@@ -218,7 +223,8 @@ class TiltPolicy:
 
     Construct through the classmethods fixed, seasonal, monthly and daily;
     label is a short tag used in reports that starts with the classmethod's
-    name. tilts_deg holds the tilt of day 1 first.
+    name. tilts_deg holds the tilt of day 1 first. A policy is read-only, so
+    its tilts stay the ones the constructor checked.
     """
 
     def __init__(self, label: str, tilts_deg: Sequence[float]):
@@ -228,8 +234,13 @@ class TiltPolicy:
             _check_tilt(tilt)
         if len(tilts) != DAYS_PER_YEAR:
             raise ValueError(f"a policy needs {DAYS_PER_YEAR} tilts, got {len(tilts)}")
-        self.label = label
-        self.tilts_deg = tuple(map(float, tilts))
+        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "tilts_deg", tuple(map(float, tilts)))
+
+    def __setattr__(self, name: str, value=None) -> None:
+        raise AttributeError(f"TiltPolicy is read-only: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
 
     def __repr__(self) -> str:
         return f"TiltPolicy({self.label})"

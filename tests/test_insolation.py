@@ -29,6 +29,7 @@ from heliotilt import (
     optimize_fixed_tilt,
     seasonal_schedule,
     sun_position,
+    sunpath_chart,
     sunrise_hour_angle,
 )
 from heliotilt import insolation, schedule
@@ -215,6 +216,52 @@ class TestIncidenceCosine:
         with pytest.raises(ValueError) as err:  # a bool is not 1 or 0 deg
             incidence_cosine(SITE, 81, 0.0, 30.0, panel_azimuth_deg=bad)
         assert str(err.value) == f"panel azimuth must be finite degrees, got {bad}"
+
+
+def radians_sun(lat, day, omega, tilt, panel_az):
+    """sun_position's elevation and azimuth and incidence_cosine, with every sine
+    and cosine from math.radians (the latitude's too, as before the +-90 rule),
+    in the product order of geometry._up_south."""
+    phi, delta, w = map(math.radians, (lat, declination_exact(day), omega))
+    sin_p, cos_p, sin_d, cos_d = math.sin(phi), math.cos(phi), math.sin(delta), math.cos(delta)
+    up = sin_p * sin_d + cos_p * cos_d * math.cos(w)
+    south = math.cos(w) * cos_d * sin_p - sin_d * cos_p
+    west = cos_d * math.sin(w)
+    panel, t = math.radians(panel_az), math.radians(tilt)
+    facing = south * math.cos(panel) + west * math.sin(panel)
+    return (math.degrees(math.asin(min(max(up, -1.0), 1.0))),
+            math.degrees(math.atan2(west, south)),
+            facing * math.sin(t) + up * math.cos(t))
+
+
+class TestSunVectorLatitudeTrig:
+    @pytest.mark.parametrize("lat", [90.0, -90.0])
+    def test_pole_equinox_sun_is_on_the_horizon(self, lat):
+        # declination 0 at a pole: the sun circles on the horizon, as the chart's
+        # flat path and the grid's 0 Wh/m^2 have it; cos(radians(90)) = 6.1e-17
+        # put it 3.5e-15 deg up
+        loc = Location(lat)
+        for omega in range(-180, 181, 15):
+            assert sun_position(loc, 81, float(omega)).elevation_deg == 0.0
+            assert incidence_cosine(loc, 81, float(omega), 0.0) == 0.0
+        assert set(sunpath_chart(loc, (81,), 30.0)[0].y) == {0.0}
+        assert daily_insolation(loc, 81, 0.0).energy_wh_m2 == 0.0
+
+    def test_off_the_poles_every_bit_is_the_radians_trig(self):
+        rng = np.random.default_rng(21)
+        lats = [0.0, -0.0, 1e-300, 23.45, 32.7, -33.9, 66.55, 89.999, -89.999,
+                np.nextafter(90.0, 0.0), np.nextafter(-90.0, 0.0), *rng.uniform(-90, 90, 12)]
+        omegas = [-180.0, -90.0, -45.0, 0.0, 0.5, 90.0, 180.0, *rng.uniform(-180, 180, 6)]
+        for lat in map(float, lats):
+            loc = Location(lat)
+            for day in (1, 81, 172, 266, 355, 365):
+                for omega in map(float, omegas):
+                    for tilt, panel_az in ((0.0, 0.0), (35.0, 0.0), (90.0, -40.0)):
+                        sun = sun_position(loc, day, omega)
+                        got = (sun.elevation_deg, sun.azimuth_deg,
+                               incidence_cosine(loc, day, omega, tilt, panel_az))
+                        want = radians_sun(lat, day, omega, tilt, panel_az)
+                        assert list(map(float.hex, got)) == list(map(float.hex, want))
 
 
 class TestDailyInsolation:

@@ -1,4 +1,7 @@
 """Tilt rules: daily, monthly, seasonal, policies, and their invariants."""
+import json
+from importlib import resources
+
 import numpy as np
 import pytest
 
@@ -16,10 +19,12 @@ from heliotilt import (
     monthly_schedule,
     noon_elevation,
     offsets_for,
+    schedule_table,
     season_of_day,
     seasonal_schedule,
     tilt_extremes,
 )
+from heliotilt.schedule import _MODES
 
 SITE = Location(32.7)
 
@@ -341,6 +346,34 @@ class TestTiltPolicy:
     def test_policy_day_validation(self):
         with pytest.raises(ValueError):
             TiltPolicy.fixed(10.0).tilt_for_day(0)
+
+    @pytest.mark.parametrize("field", ["label", "tilts_deg"])
+    def test_is_read_only(self, field):
+        # a tilt of 500 deg put in after the checks gave 74,711 Wh/m^2 a year
+        policy = TiltPolicy.fixed(30.0)
+        with pytest.raises(AttributeError):
+            setattr(policy, field, (500.0,) * 365)
+        with pytest.raises(AttributeError):
+            delattr(policy, field)
+        assert policy.label == "fixed(30.00)" and policy.tilts_deg == (30.0,) * 365
+        assert repr(policy) == "TiltPolicy(fixed(30.00))"
+        assert policy == policy and policy != TiltPolicy.fixed(30.0)  # by identity, as before
+        assert hash(policy) == object.__hash__(policy)
+
+
+class TestModeTable:
+    def test_every_mode_has_offsets_a_note_and_a_schema_value(self):
+        # a new TiltMode member needs all three
+        schema = json.loads(
+            (resources.files("heliotilt") / "schemas" / "output.schema.json").read_text()
+        )
+        assert schema["$defs"]["mode"]["enum"] == [m.value for m in TiltMode]
+        assert list(_MODES) == list(TiltMode)
+        for mode in TiltMode:
+            offsets, note = _MODES[mode]
+            assert offsets_for(mode) is offsets and len(offsets) == 12
+            assert schedule_table(SITE, "monthly", mode).metadata["offset_note"] == note
+        assert len({note for _, note in _MODES.values()}) == len(TiltMode)  # one note each
 
 
 class TestMonthlyAgainstDailyRule:
