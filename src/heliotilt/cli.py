@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
 
 from .charts import (
     DEFAULT_CHART_DAYS,
@@ -200,7 +199,6 @@ def _build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument(
             "--out",
-            type=Path,
             metavar="PATH",
             help="write to this file instead of stdout",
         )
@@ -263,11 +261,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write(text: str, out: Path | None) -> None:
+def _write(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
     else:
-        out.write_bytes(text.encode("utf-8"))
+        with open(out, "wb") as f:
+            f.write(text.encode("utf-8"))
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -284,7 +283,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         _write(text, args.out)
     except OSError as exc:
-        print(f"error: cannot write {args.out or 'stdout'}: {exc.strerror or exc}", file=sys.stderr)
+        target = "stdout" if args.out is None else args.out  # --out "" names no file, not stdout
+        print(f"error: cannot write {target}: {exc.strerror or exc}", file=sys.stderr)
         return 1
     return 0
 

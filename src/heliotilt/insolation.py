@@ -171,7 +171,11 @@ def _sample_days(loc: Location, period: tuple[int, int], model: IrradianceModel 
     block over the block's samples. Either way the rows are only read, and
     _up_south writes the transform straight into the grid.
     """
-    step_deg = (model or _DEFAULT_MODEL).time_step_minutes / 4.0  # 15 deg of hour angle an hour
+    if model is None:
+        model = _DEFAULT_MODEL
+    elif not isinstance(model, IrradianceModel):  # only its constructor checks the step
+        raise TypeError(f"model must be an IrradianceModel or None, got {type(model).__name__}")
+    step_deg = model.time_step_minutes / 4.0  # 15 deg of hour angle an hour
     sin_phi, cos_phi = _latitude_sin_cos(loc.latitude_deg)  # no horizon noise at +-90
     tan_phi = math.tan(math.radians(loc.latitude_deg))  # sunrise_hour_angle's spans, +-90 too
     per_day, counts, once = [], [], []
@@ -297,6 +301,8 @@ def annual_insolation(
     model: IrradianceModel | None = None,
 ) -> InsolationResult:
     """Energy over the full 365-day year under a tilt policy."""
+    if not isinstance(policy, TiltPolicy):  # only its constructor checks the tilts
+        raise TypeError(f"policy must be a TiltPolicy, got {type(policy).__name__}")
     grid = _sample_days(loc, FULL_YEAR, model)
     return InsolationResult(_energy(grid, policy.tilts_deg), FULL_YEAR, policy.label)
 

@@ -569,6 +569,18 @@ class TestGoldenBytes:
         assert out.encode("utf-8") == (GOLDEN / "cli" / name).read_bytes()
 
 
+class TestSchemaBounds:
+    @pytest.mark.parametrize("name", sorted(n for n in CLI_GOLDENS if n.endswith(".json")))
+    def test_golden_json_validates(self, validator, name):
+        validator.validate(json.loads((GOLDEN / "cli" / name).read_bytes()))
+
+    @pytest.mark.parametrize("step, valid", [(0.05, False), (0.1, True), (120, True), (121, False)])
+    def test_step_is_the_cli_range(self, validator, step, valid):
+        # the schema's step is the one --step accepts, [0.1, 120] minutes
+        payload = json.loads((GOLDEN / "cli" / "sun_32p7_d81_s60.json").read_bytes())
+        assert validator.is_valid({**payload, "step_minutes": step}) is valid
+
+
 class TestDeterminism:
     @pytest.mark.parametrize(
         "argv",

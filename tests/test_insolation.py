@@ -6,6 +6,7 @@ written, so they exercise the trapezoid kernel against an outside
 reference rather than against itself.
 """
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -140,6 +141,23 @@ class TestDirectNormal:
     @pytest.mark.parametrize("step", [0.1, 0.5, 120.0])
     def test_accepts_steps_at_the_bounds(self, step):
         assert IrradianceModel(time_step_minutes=step).time_step_minutes == step
+
+    @pytest.mark.parametrize("step", [math.inf, 1.0])
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda model: daily_insolation(SITE, 172, 30.0, model),
+            lambda model: annual_insolation(SITE, TiltPolicy.fixed(30.0), model),
+            lambda model: optimize_fixed_tilt(SITE, (172, 172), model),
+            lambda model: gain_report(SITE, model),
+        ],
+        ids=["daily", "annual", "optimize", "gains"],
+    )
+    def test_energy_calls_take_only_a_model(self, call, step):
+        # only IrradianceModel checks the step: a look-alike with an inf step
+        # would give 0.0 Wh/m^2, and one of 0.01 minutes would pass the 0.1 floor
+        with pytest.raises(TypeError, match="model must be an IrradianceModel or None"):
+            call(SimpleNamespace(time_step_minutes=step))
 
 
 class TestIncidenceCosine:
@@ -466,6 +484,12 @@ class TestAnnualInsolation:
         for tilt in (0.0, 20.0, 32.7, 50.0):
             fixed = annual_insolation(SITE, TiltPolicy.fixed(tilt), FAST).energy_wh_m2
             assert daily >= fixed
+
+    def test_rejects_a_policy_that_is_not_a_tilt_policy(self):
+        # only TiltPolicy checks the tilts: this look-alike would give 74,711.20 Wh/m^2
+        look_alike = SimpleNamespace(label="x", tilts_deg=(500.0,) * 365)
+        with pytest.raises(TypeError, match="policy must be a TiltPolicy"):
+            annual_insolation(SITE, look_alike)
 
 
 class TestOptimizeFixedTilt:
