@@ -163,24 +163,12 @@ def sun_day_rows(
     ]
 
 
-class _ScheduleTable(NamedTuple):
+class ScheduleTable(NamedTuple):
+    """Labeled tilt rows (months or seasons) plus summary metadata, mode and latitude included."""
+
     granularity: str
-    mode: TiltMode
     rows: tuple[tuple[str, float], ...]
     metadata: dict
-
-
-class ScheduleTable(_ScheduleTable):
-    """Labeled tilt rows (months or seasons) plus summary metadata, latitude included.
-
-    metadata defaults to a new empty dict for each table.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, granularity: str, mode: TiltMode, rows: tuple,
-                metadata: dict | None = None) -> ScheduleTable:
-        return super().__new__(cls, granularity, mode, rows, {} if metadata is None else metadata)
 
 
 def schedule_table(
@@ -201,7 +189,6 @@ def schedule_table(
         rows = tuple(zip(SEASON_NAMES, _seasonal(monthly).betas_deg))
     return ScheduleTable(
         granularity=granularity,
-        mode=mode,
         rows=rows,
         metadata={
             "latitude_deg": loc.latitude_deg,

@@ -103,19 +103,20 @@ def _cmd_tilt(args: argparse.Namespace) -> str:
 
 
 def _cmd_schedule(args: argparse.Namespace) -> str:
-    table = schedule_table(Location(args.lat), args.granularity, TiltMode(args.mode))
+    mode = TiltMode(args.mode)
+    table = schedule_table(Location(args.lat), args.granularity, mode)
     seasonal = table.granularity == "seasonal"
     rounded = [round_half_up(value) for _, value in table.rows]
     if args.format == "csv":
         label = ("season" if seasonal else "month", None, "")
-        if seasonal and table.mode is TiltMode.PAPER:
+        if seasonal and mode is TiltMode.PAPER:
             # the paper quotes its seasonal table in whole degrees
             rows = [(name, r) for (name, _), r in zip(table.rows, rounded)]
             return render_csv((label, ("tilt_deg", None, "d")), rows)
         return render_csv((label, TILT), table.rows)
     rows = json_rows((("period", None, ""), TILT), table.rows)
     extra = {"rounded_deg": rounded} if seasonal else {}
-    return _json(args, "schedule", {"mode": table.mode.value, "granularity": table.granularity,
+    return _json(args, "schedule", {"mode": mode.value, "granularity": table.granularity,
                                     "rows": rows, **extra,
                                     "metadata": _clean_metadata(table.metadata)})
 

@@ -72,8 +72,9 @@ def _is_bool(value) -> bool:
 
 
 def _check_range(value: float, lo: float, hi: float, what: str) -> None:
-    """ValueError(f"{what}, got {value}") for a bool or a value outside [lo, hi], nan too."""
-    if _is_bool(value) or not lo <= value <= hi:
+    """ValueError(f"{what}, got {value}") for a bool, an array that is not 0-d (a
+    one-element one compares as a number) or a value outside [lo, hi], nan too."""
+    if _is_bool(value) or getattr(value, "ndim", 0) or not lo <= value <= hi:
         raise ValueError(f"{what}, got {value}")
 
 

@@ -144,9 +144,9 @@ def _daily_year(loc: Location) -> tuple[list[float], int]:
     return ([_clamp_tilt(r) for r in raws] if clamped_days else raws), clamped_days
 
 
-def daily_tilt(loc: Location, day: int, *, simplified: bool = False) -> float:
+def daily_tilt(loc: Location, day: int) -> float:
     """Tilt for one day under the daily rule, clamped to [0, 90] deg."""
-    return daily_tilt_details(loc, day, simplified=simplified).tilt_deg
+    return daily_tilt_details(loc, day).tilt_deg
 
 
 def tilt_extremes(loc: Location, mode: TiltMode = TiltMode.PAPER) -> tuple[float, float]:
@@ -169,9 +169,6 @@ class MonthlySchedule(NamedTuple):
 
     def beta_for_month(self, month: int) -> float:
         return self.betas_deg[_check_index(month, "month", 12) - 1]
-
-    def beta_for_day(self, day: int) -> float:
-        return self.beta_for_month(month_of_day(day))
 
 
 def monthly_schedule(loc: Location, mode: TiltMode = TiltMode.PAPER) -> MonthlySchedule:
@@ -198,9 +195,6 @@ class SeasonalSchedule(NamedTuple):
 
     def beta_for_season(self, season: int) -> float:
         return self.betas_deg[_check_index(season, "season", 4) - 1]
-
-    def beta_for_day(self, day: int) -> float:
-        return self.betas_deg[season_of_day(day) - 1]
 
     def rounded(self) -> tuple[int, int, int, int]:
         """Whole-degree display values, .5 always rounding up."""

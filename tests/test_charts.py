@@ -16,7 +16,6 @@ from heliotilt import (
     DEFAULT_CHART_DAYS,
     ChartSeries,
     Location,
-    ScheduleTable,
     TiltMode,
     compass_azimuth,
     daily_tilt,
@@ -82,10 +81,8 @@ class TestChartSeries:
 
     def test_each_record_gets_its_own_metadata(self):
         first, second = ChartSeries("a", (), ()), ChartSeries("b", (), ())
-        tables = [ScheduleTable("monthly", TiltMode.PAPER, ()) for _ in range(2)]
-        for one, other in ((first, second), tables):
-            one.metadata["key"] = 1
-            assert one.metadata == {"key": 1} and other.metadata == {}
+        first.metadata["key"] = 1
+        assert first.metadata == {"key": 1} and second.metadata == {}
 
     @pytest.mark.parametrize("lat", [89.9, 32.7, 0.0, -0.0, -89.9])
     def test_library_series_construct(self, lat):
@@ -271,6 +268,7 @@ class TestScheduleTable:
         assert exact.metadata["tilt_min_deg"] == pytest.approx(9.25, abs=1e-9)
         assert paper.metadata["tilt_max_deg"] == pytest.approx(56.15, abs=1e-9)
         assert exact.metadata["tilt_max_deg"] == pytest.approx(56.15, abs=1e-9)
+        assert (paper.metadata["mode"], exact.metadata["mode"]) == ("paper", "exact")
         assert "-24.45" in paper.metadata["offset_note"]
         assert "symmetric" in exact.metadata["offset_note"]
 

@@ -27,12 +27,17 @@ class TestLocation:
         assert Location(0.0).latitude_deg == 0.0
         assert Location(90.0).latitude_deg == 90.0
         assert Location(-90.0).latitude_deg == -90.0
+        assert Location(np.float64(32.7)).latitude_deg == 32.7  # numpy scalars, 0-d too
+        assert Location(np.array(32.7)).latitude_deg == 32.7
 
     @pytest.mark.parametrize(
-        "bad", [90.1, -90.1, 180.0, float("inf"), True, False, np.True_, np.False_]
+        "bad",
+        [90.1, -90.1, 180.0, float("inf"), True, False, np.True_, np.False_,
+         np.array([32.7]), np.array([10.0, 20.0])],
     )
     def test_rejects_off_globe(self, bad):
-        # a bool too: True is the int 1 to Python, so it read as a site at 1 N
+        # a bool too: True is the int 1 to Python, so it read as a site at 1 N;
+        # a one-element array compared as a number and made array tilts
         with pytest.raises(ValueError) as err:
             Location(bad)
         assert str(err.value) == f"latitude must be in [-90, 90] degrees, got {bad}"
@@ -223,9 +228,12 @@ class TestSunPosition:
         assert angles.zenith_deg == pytest.approx(90.0 - angles.elevation_deg, abs=1e-12)
         assert angles.declination_deg == pytest.approx(declination_exact(172), abs=1e-12)
 
-    @pytest.mark.parametrize("omega", [-180.1, 181.0, 720.0, math.nan, True, False, np.True_])
+    @pytest.mark.parametrize(
+        "omega", [-180.1, 181.0, 720.0, math.nan, True, False, np.True_, np.array([10.0])]
+    )
     def test_rejects_out_of_range_hour_angle(self, omega):
-        # a bool is not an hour angle: True read as 1 deg
+        # a bool is not an hour angle: True read as 1 deg; a one-element
+        # array passed the check and failed in math.radians
         with pytest.raises(ValueError) as err:
             sun_position(SITE, 81, omega)
         assert str(err.value) == f"hour angle must be in [-180, 180] degrees, got {omega}"

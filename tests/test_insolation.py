@@ -24,10 +24,12 @@ from heliotilt import (
     declination_exact,
     gain_report,
     incidence_cosine,
+    month_of_day,
     monthly_schedule,
     noon_elevation,
     noon_elevation_folded,
     optimize_fixed_tilt,
+    season_of_day,
     seasonal_schedule,
     sun_position,
     sunpath_chart,
@@ -130,15 +132,18 @@ class TestDirectNormal:
         with pytest.raises(ValueError):
             IrradianceModel(time_step_minutes=-1.0)
 
-    @pytest.mark.parametrize("step", [math.inf, math.nan, 0.05, 120.5, True, np.True_])
+    @pytest.mark.parametrize(
+        "step", [math.inf, math.nan, 0.05, 120.5, True, np.True_, np.array([5.0])]
+    )
     def test_rejects_unbounded_steps(self, step):
         # the bound is checked before any grid is built, so a tiny step
-        # never reaches an allocation; True was a 1-minute step
+        # never reaches an allocation; True was a 1-minute step, and a
+        # one-element array a model every energy call failed on
         with pytest.raises(ValueError) as err:
             IrradianceModel(time_step_minutes=step)
         assert str(err.value) == f"time step must be finite minutes in [0.1, 120], got {step}"
 
-    @pytest.mark.parametrize("step", [0.1, 0.5, 120.0])
+    @pytest.mark.parametrize("step", [0.1, 0.5, 120.0, np.float64(5.0), np.array(5.0)])
     def test_accepts_steps_at_the_bounds(self, step):
         assert IrradianceModel(time_step_minutes=step).time_step_minutes == step
 
@@ -223,7 +228,7 @@ class TestIncidenceCosine:
                 value = incidence_cosine(SITE, 200, float(omega), tilt)
                 assert -1.0 - 1e-12 <= value <= 1.0 + 1e-12
 
-    @pytest.mark.parametrize("bad", [-90.5, 91.0, True, np.False_])
+    @pytest.mark.parametrize("bad", [-90.5, 91.0, True, np.False_, np.array([30.0])])
     def test_rejects_bad_tilt(self, bad):
         with pytest.raises(ValueError) as err:
             incidence_cosine(SITE, 81, 0.0, bad)
@@ -345,9 +350,10 @@ class TestDailyInsolation:
         # lifted it above, worth 40.18 Wh/m^2 at 90 N and tilt 90
         assert daily_insolation(Location(lat), 81, tilt).energy_wh_m2 == 0.0
 
-    @pytest.mark.parametrize("bad", [-0.1, 90.1, True, False, np.True_])
+    @pytest.mark.parametrize("bad", [-0.1, 90.1, True, False, np.True_, np.array([30.0])])
     def test_rejects_bad_tilt(self, bad):
-        # True was a 1 deg tilt labelled fixed(1.00)
+        # True was a 1 deg tilt labelled fixed(1.00); a one-element array
+        # passed the check and failed in float()
         with pytest.raises(ValueError) as err:
             daily_insolation(SITE, 81, bad)
         assert str(err.value) == f"panel tilt must be in [0, 90] degrees, got {bad}"
@@ -970,6 +976,8 @@ class TestPolicyTilts:
     def test_tilts_are_the_per_day_rules(self, lat, mode):
         loc, days = Location(lat), range(1, 366)
         seasonal, monthly = seasonal_schedule(loc, mode), monthly_schedule(loc, mode)
-        assert TiltPolicy.seasonal(seasonal).tilts_deg == tuple(map(seasonal.beta_for_day, days))
-        assert TiltPolicy.monthly(monthly).tilts_deg == tuple(map(monthly.beta_for_day, days))
+        assert TiltPolicy.seasonal(seasonal).tilts_deg == tuple(
+            seasonal.beta_for_season(season_of_day(d)) for d in days)
+        assert TiltPolicy.monthly(monthly).tilts_deg == tuple(
+            monthly.beta_for_month(month_of_day(d)) for d in days)
         assert TiltPolicy.daily(loc).tilts_deg == tuple(daily_tilt(loc, d) for d in days)

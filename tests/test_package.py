@@ -72,10 +72,9 @@ RECORDS = [
      "betas_deg=(60.0, 45.0), delta_deg=(15.0, 0.0))"),
     (heliotilt.ChartSeries("s", (1.0, 2.0), (3.0, 4.0)),
      "ChartSeries(name='s', x=(1.0, 2.0), y=(3.0, 4.0), metadata={})"),
-    (heliotilt.ScheduleTable("seasonal", heliotilt.TiltMode.PAPER, (("winter", 48.0),),
-                             {"latitude_deg": 32.7}),
-     "ScheduleTable(granularity='seasonal', mode=<TiltMode.PAPER: 'paper'>, "
-     "rows=(('winter', 48.0),), metadata={'latitude_deg': 32.7})"),
+    (heliotilt.ScheduleTable("seasonal", (("winter", 48.0),), {"latitude_deg": 32.7}),
+     "ScheduleTable(granularity='seasonal', rows=(('winter', 48.0),), "
+     "metadata={'latitude_deg': 32.7})"),
 ]
 
 

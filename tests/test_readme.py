@@ -6,7 +6,14 @@ sentence up in the README, so a changed digit on either side fails.
 import math
 import pathlib
 
-from heliotilt import Location, optimize_fixed_tilt, sunrise_hour_angle
+from heliotilt import (
+    Location,
+    TiltMode,
+    gain_report,
+    optimize_fixed_tilt,
+    seasonal_schedule,
+    sunrise_hour_angle,
+)
 from heliotilt import insolation
 from heliotilt.cli import main
 from heliotilt.insolation import FULL_YEAR, _sample_days
@@ -15,10 +22,33 @@ README = " ".join(
     (pathlib.Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8").split()
 )
 LATITUDES = (20.0, 32.7, 45.0)
+SITE = Location(32.7)
 
 
 def optima():
     return [optimize_fixed_tilt(Location(lat)).tilt_deg for lat in LATITUDES]
+
+
+def gains(mode):
+    """Seasonal, monthly and daily percent gains at the README's site and default step."""
+    return [p.gain_percent for p in gain_report(SITE, mode=mode).policies]
+
+
+def test_quick_start_seasonal_tilts():
+    rounded = seasonal_schedule(SITE, TiltMode.PAPER).rounded()
+    assert f"seasonal_schedule(site, TiltMode.PAPER).rounded() # {rounded}" in README
+
+
+def test_paper_mode_gains():
+    sentence = ("come out near {:.1f}% (seasonal), {:.1f}% (monthly), "
+                "and {:.1f}% (daily) in paper mode.")
+    assert sentence.format(*gains(TiltMode.PAPER)) in README
+
+
+def test_exact_mode_gains_are_lower():
+    (paper_s, paper_m, paper_d), (exact_s, exact_m, exact_d) = map(gains, TiltMode)
+    assert exact_s < paper_s and exact_m < paper_m and exact_d == paper_d
+    assert "Exact mode gives slightly lower seasonal and monthly gains" in README
 
 
 def test_full_year_optima():
@@ -33,10 +63,9 @@ def test_optima_without_attenuation(monkeypatch):
 
 
 def test_kept_points_against_the_full_grid():
-    site = Location(32.7)
-    kept = int(_sample_days(site, FULL_YEAR, None).counts.sum())
+    kept = int(_sample_days(SITE, FULL_YEAR, None).counts.sum())
     step_deg = 0.25  # the default 1-minute step
-    full = sum(math.ceil(2.0 * sunrise_hour_angle(site, day) / step_deg) + 1
+    full = sum(math.ceil(2.0 * sunrise_hour_angle(SITE, day) / step_deg) + 1
                for day in range(FULL_YEAR[0], FULL_YEAR[1] + 1))
     assert f"a year is {kept:,} points instead of {full:,}." in README
 

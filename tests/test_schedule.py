@@ -49,7 +49,7 @@ class TestDailyTilt:
 
     def test_simplified_variant_peak(self):
         # the simplified declination hits exactly 23.45 on day 171
-        assert daily_tilt(SITE, 171, simplified=True) == pytest.approx(
+        assert daily_tilt_details(SITE, 171, simplified=True).tilt_deg == pytest.approx(
             32.7 - 23.45, abs=1e-9
         )
 
@@ -161,13 +161,12 @@ class TestMonthlySchedule:
         for n in range(6):
             assert schedule.betas_deg[n] >= schedule.betas_deg[n + 1]
 
-    def test_beta_for_day_uses_month_boundaries(self):
+    def test_policy_uses_month_boundaries(self):
         schedule = monthly_schedule(SITE, TiltMode.PAPER)
-        assert schedule.beta_for_day(31) == schedule.beta_for_month(1)
-        assert schedule.beta_for_day(32) == schedule.beta_for_month(2)
-        assert schedule.beta_for_day(59) == schedule.beta_for_month(2)
-        assert schedule.beta_for_day(60) == schedule.beta_for_month(3)
-        assert schedule.beta_for_day(365) == schedule.beta_for_month(12)
+        policy = TiltPolicy.monthly(schedule)
+        for day, month in ((31, 1), (32, 2), (59, 2), (60, 3), (90, 3), (91, 4),
+                           (181, 6), (182, 7), (273, 9), (274, 10), (365, 12)):
+            assert policy.tilt_for_day(day) == schedule.beta_for_month(month)
 
     @pytest.mark.parametrize(
         "bad", [0, 13, 3.5, float("inf"), float("nan"), True, False, np.True_, np.False_]
@@ -229,15 +228,12 @@ class TestSeasonalSchedule:
         )
         assert synthetic.rounded() == (48, 24, 17, 40)
 
-    def test_beta_for_day_uses_season_boundaries(self):
+    def test_policy_uses_season_boundaries(self):
         seasonal = seasonal_schedule(SITE, TiltMode.PAPER)
-        assert seasonal.beta_for_day(90) == seasonal.beta_for_season(1)
-        assert seasonal.beta_for_day(91) == seasonal.beta_for_season(2)
-        assert seasonal.beta_for_day(181) == seasonal.beta_for_season(2)
-        assert seasonal.beta_for_day(182) == seasonal.beta_for_season(3)
-        assert seasonal.beta_for_day(273) == seasonal.beta_for_season(3)
-        assert seasonal.beta_for_day(274) == seasonal.beta_for_season(4)
-        assert seasonal.beta_for_day(365) == seasonal.beta_for_season(4)
+        policy = TiltPolicy.seasonal(seasonal)
+        for day, season in ((31, 1), (32, 1), (59, 1), (60, 1), (90, 1), (91, 2),
+                            (181, 2), (182, 3), (273, 3), (274, 4), (365, 4)):
+            assert policy.tilt_for_day(day) == seasonal.beta_for_season(season)
 
     def test_rejects_non_northern(self):
         with pytest.raises(UnsupportedHemisphereError):
@@ -325,14 +321,14 @@ class TestTiltPolicy:
         policy = TiltPolicy.monthly(schedule)
         assert policy.label == "monthly(paper)"
         for d in range(1, 366):
-            assert policy.tilt_for_day(d) == schedule.beta_for_day(d)
+            assert policy.tilt_for_day(d) == schedule.beta_for_month(month_of_day(d))
 
     def test_seasonal_policy_tracks_schedule(self):
         seasonal = seasonal_schedule(SITE, TiltMode.EXACT)
         policy = TiltPolicy.seasonal(seasonal)
         assert policy.label == "seasonal(exact)"
         for d in range(1, 366):
-            assert policy.tilt_for_day(d) == seasonal.beta_for_day(d)
+            assert policy.tilt_for_day(d) == seasonal.beta_for_season(season_of_day(d))
 
     def test_daily_policy_tracks_rule(self):
         policy = TiltPolicy.daily(SITE)
