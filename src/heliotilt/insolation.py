@@ -48,6 +48,7 @@ ZENITH_CAP_DEG = 89.0
 _SIN_CAP = math.sin(math.radians(90.0 - ZENITH_CAP_DEG))  # sin(elev) at the zenith cap
 
 FULL_YEAR = (1, DAYS_PER_YEAR)
+_MAX_FLOAT = math.nextafter(math.inf, 0.0)  # a panel azimuth's only bound is finiteness
 _BLOCK_SAMPLES = 1 << 14  # a grid block holds the days that start in one such window
 
 
@@ -138,8 +139,7 @@ def incidence_cosine(
     panel this reduces to sin(noon_elevation + tilt).
     """
     _check_range(tilt_deg, -90.0, 90.0, "tilt must be in [-90, 90] degrees")
-    if _is_bool(panel_azimuth_deg) or not math.isfinite(panel_azimuth_deg):
-        raise ValueError(f"panel azimuth must be finite degrees, got {panel_azimuth_deg}")
+    _check_range(panel_azimuth_deg, -_MAX_FLOAT, _MAX_FLOAT, "panel azimuth must be finite degrees")
     _, up, south, west = _sun_vector(loc, day, hour_angle_deg)
     panel, tilt = math.radians(panel_azimuth_deg), math.radians(tilt_deg)
     facing = south * math.cos(panel) + west * math.sin(panel)

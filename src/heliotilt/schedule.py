@@ -244,16 +244,18 @@ class TiltPolicy:
 
     @classmethod
     def fixed(cls, tilt_deg: float) -> "TiltPolicy":
-        return cls(f"fixed({tilt_deg:.2f})", (tilt_deg,) * DAYS_PER_YEAR)
+        tilt = _check_tilt(tilt_deg)
+        return cls(f"fixed({tilt:.2f})", (tilt,) * DAYS_PER_YEAR)
 
     @classmethod
     def seasonal(cls, schedule: SeasonalSchedule) -> "TiltPolicy":
         tilts = [schedule.betas_deg[s] for s in _SEASON_INDEX]
-        return cls(f"seasonal({schedule.mode.value})", tilts)
+        return cls(f"seasonal({TiltMode(schedule.mode).value})", tilts)
 
     @classmethod
     def monthly(cls, schedule: MonthlySchedule) -> "TiltPolicy":
-        return cls(f"monthly({schedule.mode.value})", [schedule.betas_deg[m] for m in _MONTH_INDEX])
+        tilts = [schedule.betas_deg[m] for m in _MONTH_INDEX]
+        return cls(f"monthly({TiltMode(schedule.mode).value})", tilts)
 
     @classmethod
     def daily(cls, loc: Location) -> "TiltPolicy":

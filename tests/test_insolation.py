@@ -234,9 +234,11 @@ class TestIncidenceCosine:
             incidence_cosine(SITE, 81, 0.0, bad)
         assert str(err.value) == f"tilt must be in [-90, 90] degrees, got {bad}"
 
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, True, np.False_])
+    @pytest.mark.parametrize(
+        "bad", [math.nan, math.inf, -math.inf, True, np.False_, np.array([0.0]), np.array([0.0, 90.0])]
+    )
     def test_rejects_a_non_finite_panel_azimuth(self, bad):
-        with pytest.raises(ValueError) as err:  # a bool is not 1 or 0 deg
+        with pytest.raises(ValueError) as err:  # a bool is not 1 or 0 deg; an array is not a number
             incidence_cosine(SITE, 81, 0.0, 30.0, panel_azimuth_deg=bad)
         assert str(err.value) == f"panel azimuth must be finite degrees, got {bad}"
 
@@ -945,7 +947,9 @@ class TestPolicyTilts:
                 TiltPolicy("x", (30.0,) * days)
 
     @pytest.mark.parametrize(
-        "bad", [math.nan, math.inf, -math.inf, -1e-9, 90.0 + 1e-9, True, False, np.True_, np.False_]
+        "bad",
+        [math.nan, math.inf, -math.inf, -1e-9, 90.0 + 1e-9, True, False, np.True_, np.False_,
+         np.array([30.0]), np.array([30.0, 40.0])],
     )
     def test_rejects_a_bad_tilt_as_check_tilt_does(self, bad):
         with pytest.raises(ValueError) as single:
@@ -956,6 +960,22 @@ class TestPolicyTilts:
         with pytest.raises(ValueError) as fixed:  # a bool is not 1 or 0 deg either
             TiltPolicy.fixed(bad)
         assert str(fixed.value) == str(single.value)
+
+    def test_fixed_rejects_a_string_tilt_as_check_tilt_does(self):
+        with pytest.raises(Exception) as single:
+            _check_tilt("30")
+        with pytest.raises(Exception) as fixed:
+            TiltPolicy.fixed("30")
+        assert (type(fixed.value), str(fixed.value)) == (type(single.value), str(single.value))
+
+    def test_a_schedule_record_takes_its_mode_as_tilt_mode_does(self):
+        monthly = schedule.MonthlySchedule(45.0, "exact", (45.0,) * 12, ())
+        seasonal = schedule.SeasonalSchedule(45.0, "exact", (45.0,) * 4, (0.0,) * 4)
+        assert TiltPolicy.monthly(monthly).label == "monthly(exact)"
+        assert TiltPolicy.seasonal(seasonal).label == "seasonal(exact)"
+        for policy, record in ((TiltPolicy.monthly, monthly), (TiltPolicy.seasonal, seasonal)):
+            with pytest.raises(ValueError, match="'bogus' is not a valid TiltMode"):
+                policy(record._replace(mode="bogus"))
 
     def test_takes_whole_degrees(self):
         assert TiltPolicy("x", [30] * 365).tilts_deg == (30.0,) * 365

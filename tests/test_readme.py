@@ -9,10 +9,14 @@ import pathlib
 from heliotilt import (
     Location,
     TiltMode,
+    daily_tilt,
     gain_report,
+    monthly_schedule,
+    noon_elevation,
     optimize_fixed_tilt,
     seasonal_schedule,
     sunrise_hour_angle,
+    tilt_extremes,
 )
 from heliotilt import insolation
 from heliotilt.cli import main
@@ -37,6 +41,25 @@ def gains(mode):
 def test_quick_start_seasonal_tilts():
     rounded = seasonal_schedule(SITE, TiltMode.PAPER).rounded()
     assert f"seasonal_schedule(site, TiltMode.PAPER).rounded() # {rounded}" in README
+
+
+def test_quick_start_equinox_tilt():
+    assert f"daily_tilt(site, 81) # {daily_tilt(SITE, 81):.2f} on the equinox" in README
+
+
+def test_offset_mode_extremes():
+    low, high = tilt_extremes(SITE, TiltMode.PAPER)
+    betas = monthly_schedule(SITE, TiltMode.PAPER).betas_deg
+    assert (betas.index(low), betas.index(high)) == (6, 0)  # July and January
+    assert f"tilt is {low:.2f} (July) and the maximum is {high:.2f} (January)." in README
+    exact_low = tilt_extremes(SITE, TiltMode.EXACT)[0]
+    assert f"the minimum tilt at 32.7 N is {exact_low:.2f}." in README
+
+
+def test_solstice_noon_elevation():
+    elevation = noon_elevation(SITE, 172)
+    assert f"{elevation:.2f}" == f"{90.0 - (32.7 - 23.45):.2f}"
+    assert f"elevation computes to {elevation:.2f} degrees, which is 90 - (32.7 - 23.45)" in README
 
 
 def test_paper_mode_gains():
