@@ -17,6 +17,7 @@ a day range once, _energy adds DNI * trapezoid weight * max(0, cosine),
 and _best_tilt finds the tilt that maximises that sum. The sun's horizon
 coordinates depend on the hour angle only through cos(omega), so the grid
 holds each day from noon to sunset and weighs it twice for the morning.
+cos(omega) comes from tan(omega / 2): numpy's tan runs in SIMD, its cos in libm (_sample_days).
 """
 from __future__ import annotations
 
@@ -158,18 +159,17 @@ class _Grid(NamedTuple):
 def _sample_days(loc: Location, period: tuple[int, int], model: IrradianceModel | None) -> _Grid:
     """Each day of a period from solar noon to sunset at the model step.
 
-    The trapezoid over np.linspace(-omega_s, omega_s, n) folded at noon:
-    horiz and vert depend on the hour angle only through cos(omega), so a
-    day keeps omega_s - k * spacing, k = 0 .. (n - 1) // 2, and each kept
-    sample weighs twice its two-sided trapezoid weight, except an odd n's
-    noon sample, which has no mirror image (found by n's parity, since its
-    omega rounds to about +-1e-17, either sign). k = 0 sits exactly on the
-    horizon, with the cos(omega_s) of both of the linspace's ends. One scalar
-    pass over the days lists each day's row, the samples weighed once and the
-    blocks (a block's days start in one _BLOCK_SAMPLES window). A one-day period
-    broadcasts its row over its samples; a longer one repeats the rows of each
-    block over the block's samples. Either way the rows are only read, and
-    _up_south writes the transform straight into the grid.
+    The trapezoid over np.linspace(-omega_s, omega_s, n) folded at noon: horiz and vert
+    depend on the hour angle only through cos(omega), so a day keeps omega_s - k * spacing,
+    k = 0 .. (n - 1) // 2, and each kept sample weighs twice its two-sided trapezoid weight,
+    except an odd n's noon sample, which has no mirror image (found by n's parity, since its
+    omega rounds to about +-1e-17, either sign). k = 0 sits exactly on the horizon and keeps
+    the np.cos(omega_s) of both of the linspace's ends, not the half-angle form: its sin(elev)
+    is +-1e-17 of noise whose sign sets its weight. One scalar pass over the days lists each
+    day's row, the horizon and noon samples and the blocks (a block's days start in one
+    _BLOCK_SAMPLES window). A one-day period broadcasts its row over its samples; a longer one
+    repeats the rows of each block over the block's samples. Either way the rows are only read,
+    and what _up_south returns or writes is the grid.
     """
     if model is None:
         model = _DEFAULT_MODEL
@@ -178,8 +178,8 @@ def _sample_days(loc: Location, period: tuple[int, int], model: IrradianceModel 
     step_deg = model.time_step_minutes / 4.0  # 15 deg of hour angle an hour
     sin_phi, cos_phi = _latitude_sin_cos(loc.latitude_deg)  # no horizon noise at +-90
     tan_phi = math.tan(math.radians(loc.latitude_deg))  # sunrise_hour_angle's spans, +-90 too
-    per_day, counts, once = [], [], []
-    blocks = [(0, 0)]  # (first day, first sample) of each block
+    per_day, counts, edges, once = [], [], [], []
+    blocks = [(0, 0, 0)]  # (first day, first sample, first edge) of each block
     end = 0
     for day in range(period[0], period[1] + 1):
         # scalar math, as in sunrise_hour_angle: a last-bit change in a span flips horizon weights
@@ -187,42 +187,52 @@ def _sample_days(loc: Location, period: tuple[int, int], model: IrradianceModel 
         span = _sunset_angle(tan_phi, decl)
         n = math.ceil(2.0 * span / step_deg) + 1 if span > 0.0 else 0
         start, end = end, end + (n + 1) // 2  # the day is samples start:end
+        if start // _BLOCK_SAMPLES > blocks[-1][1] // _BLOCK_SAMPLES:
+            blocks.append((len(counts), start, len(edges)))
         if n:
-            once.append(start)  # k = 0: the two horizon half-steps
+            edges.append(start)  # k = 0: the two horizon half-steps
         if n % 2:
             once.append(end - 1)  # odd n: noon once
-        if start // _BLOCK_SAMPLES > blocks[-1][1] // _BLOCK_SAMPLES:
-            blocks.append((len(counts), start))
         delta = math.radians(decl)
         spacing = 2.0 * span / max(n - 1, 1)  # np.linspace's step
         hours = spacing / 7.5  # twice the two-sided trapezoid hours
         per_day.append((start, spacing, span, math.sin(delta), math.cos(delta), hours))
         counts.append(end - start)
-    blocks.append((len(counts), end))
+    blocks.append((len(counts), end, len(edges)))
 
-    def fill(samples, k, spacing, span, sin_d, cos_d, hours):
-        """Samples from the day terms, scalars or rows; k, the index in the day, is scratch."""
-        k *= spacing
-        omega = np.subtract(span, k, out=k)  # sunset back to noon
-        cos_omega = np.cos(np.radians(omega, out=omega), out=omega)
-        horiz, vert, weight = samples
-        _up_south(sin_phi, cos_phi, sin_d, cos_d, cos_omega, out=(vert, horiz))
-        _direct_normal(vert, out=weight)
+    def fill(k, spacing, span, sin_d, cos_d, hours, horizon, edge, out=None):
+        """(horiz, vert, weight) from the day terms, scalars or rows, in out's rows or new
+        arrays; k, the index in the day, is scratch, and edge is cos(omega) at horizon."""
+        half = np.subtract(span, np.multiply(k, spacing, out=k), out=k)  # sunset back to noon
+        half *= math.pi / 360.0  # omega / 2 in radians
+        cos_omega = np.tan(half, out=half)
+        np.add(np.square(cos_omega, out=cos_omega), 1.0, out=cos_omega)
+        np.divide(2.0, cos_omega, out=cos_omega)
+        cos_omega -= 1.0  # 2 / (1 + tan(omega / 2) ** 2) - 1
+        cos_omega[horizon] = edge
+        up_south = None if out is None else (out[1], out[0])
+        vert, horiz = _up_south(sin_phi, cos_phi, sin_d, cos_d, cos_omega, out=up_south)
+        weight = _direct_normal(vert, out=None if out is None else out[2])
         weight *= hours
+        return horiz, vert, weight
 
-    counts, samples = np.array(counts), np.empty((3, end))
-    if counts.size == 1:  # the day's own scalars, broadcast over its samples
-        fill(samples, np.arange(end, dtype=float), *per_day[0][1:])
-        for i in once:
-            samples[2, i] /= 2.0  # exact, so the DNI may come first
+    counts = np.array(counts)
+    if counts.size == 1:  # the day's own scalars, broadcast over new arrays
+        if not end:  # polar night
+            return _Grid(*np.empty((3, 0)), counts)
+        edge = math.cos(math.radians(span))  # libm's cos, as np.cos calls it
+        samples = fill(np.arange(float(end)), *per_day[0][1:], 0, edge)
+        for i in edges + once:
+            samples[2][i] /= 2.0  # exact, so the DNI may come first
     else:
-        rows = np.array(per_day).T
-        for (first, a), (last, b) in zip(blocks, blocks[1:]):
+        rows, samples, starts = np.array(per_day).T, np.empty((3, end)), np.array(edges, dtype=int)
+        edge = np.cos(np.radians(rows[2, counts > 0]))
+        for (first, a, e), (last, b, f) in zip(blocks, blocks[1:]):
             start, *block = (row.repeat(counts[first:last]) for row in rows[:, first:last])
             k = np.arange(a, b, dtype=float)
             k -= start
-            fill(samples[:, a:b], k, *block)
-        samples[2, np.array(once, dtype=int)] /= 2.0
+            fill(k, *block, starts[e:f] - a, edge[e:f], out=samples[:, a:b])
+        samples[2, np.array(edges + once, dtype=int)] /= 2.0
     return _Grid(*samples, counts)
 
 

@@ -698,10 +698,11 @@ class TestBestTilt:
         assert np.all(b[: below[-1] + 2] == b[below[-1] + 1])
 
 
-def per_day_grid(lat, step_minutes, period=(1, 365)):
+def per_day_grid(lat, step_minutes, period=(1, 365), libm_cos=False):
     """(horiz, vert, weight, counts) of a period, built day by day from the checked
     sunrise_hour_angle and declination_exact with the grid's own arithmetic, and
-    the DNI in the exp-log form of the module docstring."""
+    the DNI in the exp-log form of the module docstring. With libm_cos, every
+    cos(omega) is np.cos of the hour angle instead of the grid's half-angle form."""
     (sin_phi, cos_phi), cap = latitude_sin_cos(lat), math.sin(math.radians(1.0))
     horiz, vert, weight, counts = [], [], [], []
     for day in range(period[0], period[1] + 1):
@@ -709,7 +710,11 @@ def per_day_grid(lat, step_minutes, period=(1, 365)):
         n = math.ceil(2.0 * omega_s / (step_minutes / 4.0)) + 1 if omega_s > 0.0 else 0
         k = np.arange((n + 1) // 2)
         spacing = 2.0 * omega_s / max(n - 1, 1)
-        cos_omega = np.cos(np.radians(omega_s - k * spacing))
+        tan_half = np.tan(np.radians(omega_s - k * spacing) / 2.0)
+        cos_omega = 2.0 / (1.0 + tan_half * tan_half) - 1.0
+        cos_omega[:1] = np.cos(np.radians(omega_s))  # the horizon, k = 0, keeps np.cos
+        if libm_cos:
+            cos_omega = np.cos(np.radians(omega_s - k * spacing))
         delta = math.radians(declination_exact(day))
         up = sin_phi * math.sin(delta) + cos_phi * math.cos(delta) * cos_omega
         vert.append(up)
@@ -737,6 +742,21 @@ class TestSampleGrid:
         assert np.array_equal(grid.vert, vert)
         assert np.array_equal(grid.weight, weight)
         assert np.array_equal(grid.weight > 0.0, vert > 0.0)
+
+    @pytest.mark.parametrize("lat", SWEEP_LATITUDES)
+    @pytest.mark.parametrize("step", [0.1, 1.0, 7.5, 30.0, 120.0])
+    def test_half_angle_cosines_against_np_cos(self, lat, step):
+        # the half-angle cos(omega) is within rounding of np.cos; the horizon
+        # samples keep np.cos's bits, so no horizon weight changes its sign
+        grid = _sample_days(Location(lat), (1, 365), IrradianceModel(step))
+        horiz, vert, weight, counts = per_day_grid(lat, step, libm_cos=True)
+        assert np.array_equal(grid.counts, counts)
+        assert np.allclose(grid.horiz, horiz, rtol=0.0, atol=1e-15)
+        assert np.allclose(grid.vert, vert, rtol=0.0, atol=1e-15)
+        horizon = (np.cumsum(counts) - counts)[counts > 0]
+        for got, want in zip(grid, (horiz, vert, weight)):
+            assert np.array_equal(got[horizon], want[horizon])
+        assert np.array_equal(grid.weight > 0.0, weight > 0.0)
 
     @pytest.mark.parametrize("lat", [-33.9, 32.7, 70.0])
     @pytest.mark.parametrize("step", [0.1, 120.0])
