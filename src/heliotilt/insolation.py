@@ -14,9 +14,10 @@ purely geometric.
 Energy is the trapezoid rule over the hour angle from sunrise to sunset,
 in Wh per m^2, and every figure is one weighted sum: _sample_days samples
 a day range once, _energy adds DNI * trapezoid weight * max(0, cosine),
-and _best_tilt finds the tilt that maximises that sum. The sun's horizon
-coordinates depend on the hour angle only through cos(omega), so the grid
-holds each day from noon to sunset and weighs it twice for the morning.
+_energies adds it for a gain report's four per-day policies from one split
+of the grid, and _best_tilt finds the tilt that maximises it. The sun's
+horizon coordinates depend on the hour angle only through cos(omega), so the
+grid holds each day from noon to sunset and weighs it twice for the morning.
 cos(omega) comes from tan(omega / 2): numpy's tan runs in SIMD, its cos in libm (_sample_days).
 """
 from __future__ import annotations
@@ -250,6 +251,35 @@ def _energy(grid: _Grid, tilt_deg) -> float:
     return float(grid.weight @ np.maximum(cos_theta, 0.0, out=cos_theta))
 
 
+def _energies(grid: _Grid, rows) -> list[float]:
+    """_energy of each row of per-day tilts in [0, 90], regrouped by max(0, x) = x - min(0, x):
+    sum_d sin(t_d) H_d + cos(t_d) V_d over the lit days (H_d, V_d: day sums of weight * horiz
+    and weight * vert) less the sum of min(0, weight * cosine) over the horiz < 0 points, the only
+    ones a tilt in [0, 90] clips (_segments). annual_insolation keeps _energy: for one row the
+    split's fixed cost (two products over the grid, the day sums, the gathers) beats its saving.
+    """
+    lit = grid.counts > 0  # reduceat would give a zero-count day an element, not 0
+    tilt = np.radians(rows)[:, lit]
+    sin_t, cos_t = np.sin(tilt), np.cos(tilt)
+    starts = (np.cumsum(grid.counts) - grid.counts)[lit]
+    behind = grid.horiz < 0.0
+    per_day = np.add.reduceat(behind, starts)  # each lit day's behind points
+    weighted = np.multiply(grid.weight, grid.horiz)  # one scratch row, then weight * vert
+    unclipped = sin_t @ np.add.reduceat(weighted, starts)
+    w_horiz = weighted[behind]
+    np.multiply(grid.weight, grid.vert, out=weighted)
+    unclipped += cos_t @ np.add.reduceat(weighted, starts)
+    w_vert = weighted[behind]
+    del grid, weighted, behind  # so a caller's temporary grid is freed before the rows
+    energies = []
+    for sin_d, cos_d, total in zip(sin_t, cos_t, unclipped):
+        power, part = np.repeat(sin_d, per_day), np.repeat(cos_d, per_day)
+        power *= w_horiz  # row by row: a (rows, behind) stack is slower at low latitudes
+        power += np.multiply(part, w_vert, out=part)
+        energies.append(float(total - np.minimum(power, 0.0, out=power).sum()))
+    return energies
+
+
 def _segments(grid: _Grid) -> tuple[np.ndarray, np.ndarray]:
     """Sorted cut-offs in radians, and A and B of each segment between them.
 
@@ -367,8 +397,8 @@ def gain_report(
         TiltPolicy.daily(loc),
         TiltPolicy.fixed(loc.latitude_deg),
     )
-    grid = _sample_days(loc, FULL_YEAR, model)
-    *energies, base = (_energy(grid, policy.tilts_deg) for policy in policies)
+    rows = [policy.tilts_deg for policy in policies]  # the grid is _energies' alone to free
+    *energies, base = _energies(_sample_days(loc, FULL_YEAR, model), rows)
     gains = [PolicyGain(p.label, e, 100.0 * (e - base) / base) for p, e in zip(policies, energies)]
     baseline = PolicyGain(policies[-1].label, base, 0.0)
     return GainReport(loc.latitude_deg, mode, baseline, tuple(gains))

@@ -41,6 +41,7 @@ from heliotilt.insolation import (
     _BLOCK_SAMPLES,
     _best_tilt,
     _direct_normal,
+    _energies,
     _energy,
     _sample_days,
     _segments,
@@ -662,6 +663,33 @@ class TestEnergy:
         energy = _energy(grid, tilt)
         assert energy == _energy(grid, (tilt,) * 365)
         assert energy == float(grid.weight @ np.maximum(cos_theta, 0.0))
+
+    @pytest.mark.parametrize("lat", (*SWEEP_LATITUDES, -90.0))
+    @pytest.mark.parametrize("step", [0.1, 1.0, 7.5, 30.0, 120.0])
+    def test_policy_rows_against_the_documented_form(self, lat, step):
+        # the split sum against weight @ max(0, sin(t) horiz + cos(t) vert), each row's
+        # tilts repeated over counts; the grids hold polar-night zero-count days, the
+        # midnight sun and both poles
+        loc, rng = Location(lat), np.random.default_rng(7)
+        rows = [np.zeros(365), np.full(365, 90.0), rng.choice([0.0, 45.0, 90.0], 365),
+                rng.uniform(0.0, 90.0, 365)]
+        if lat > 0.0:  # gain_report's four policies; the schedules are northern only
+            for mode in TiltMode:
+                rows += [policy.tilts_deg for policy in (
+                    TiltPolicy.seasonal(seasonal_schedule(loc, mode)),
+                    TiltPolicy.monthly(monthly_schedule(loc, mode)),
+                    TiltPolicy.daily(loc),
+                    TiltPolicy.fixed(lat),
+                )]
+        grid = _sample_days(loc, (1, 365), IrradianceModel(step))
+        energies = _energies(grid, rows)
+        assert len(energies) == len(rows)
+        # TestSweep's absolute bound, on the scale of the terms the split sum cancels
+        scale = float(grid.weight @ (np.abs(grid.horiz) + np.abs(grid.vert)))
+        for row, energy in zip(rows, energies):
+            tilt = np.radians(np.repeat(row, grid.counts))
+            cos_theta = np.sin(tilt) * grid.horiz + np.cos(tilt) * grid.vert
+            assert abs(energy - float(grid.weight @ np.maximum(cos_theta, 0.0))) <= 1e-12 * scale
 
 
 class TestBestTilt:
