@@ -13,9 +13,9 @@ purely geometric.
 
 Energy is the trapezoid rule over the hour angle from sunrise to sunset,
 in Wh per m^2, and every figure is one weighted sum: _sample_days samples
-a day range once, _energy adds DNI * trapezoid weight * max(0, cosine),
-_energies adds it for a gain report's four per-day policies from one split
-of the grid, and _best_tilt finds the tilt that maximises it. The sun's
+a day range once, _energy adds DNI * trapezoid weight * max(0, cosine) at
+one tilt, _energies adds it for rows of per-day tilts from one split of
+the grid, and _best_tilt finds the tilt that maximises it. The sun's
 horizon coordinates depend on the hour angle only through cos(omega), so the
 grid holds each day from noon to sunset and weighs it twice for the morning.
 cos(omega) comes from tan(omega / 2): numpy's tan runs in SIMD, its cos in libm (_sample_days).
@@ -237,26 +237,19 @@ def _sample_days(loc: Location, period: tuple[int, int], model: IrradianceModel 
     return _Grid(*samples, counts)
 
 
-def _energy(grid: _Grid, tilt_deg) -> float:
-    """Wh/m^2: weight @ max(0, sin(tilt) horiz + cos(tilt) vert), one tilt or one per day."""
-    if isinstance(tilt_deg, (int, float)):  # one tilt: numpy's bits, without 3 scalar ufuncs
-        tilt = math.radians(tilt_deg)
-        sin_t, cos_t = math.sin(tilt), math.cos(tilt)
-    else:  # one tilt per day, over that day's samples
-        tilt = np.radians(tilt_deg)
-        sin_t, cos_t = np.repeat(np.sin(tilt), grid.counts), np.repeat(np.cos(tilt), grid.counts)
-    sin_t *= grid.horiz  # in place for per-day tilts: two rows, not four
-    cos_t *= grid.vert
-    cos_theta = np.add(sin_t, cos_t, out=sin_t)
+def _energy(grid: _Grid, tilt_deg: float) -> float:
+    """Wh/m^2 at one tilt, for daily_insolation and the optimum: weight @ max(0, cos(theta))."""
+    tilt = math.radians(tilt_deg)  # math's sine and cosine: numpy's bits, without 3 scalar ufuncs
+    cos_theta = grid.horiz * math.sin(tilt)
+    cos_theta += grid.vert * math.cos(tilt)
     return float(grid.weight @ np.maximum(cos_theta, 0.0, out=cos_theta))
 
 
 def _energies(grid: _Grid, rows) -> list[float]:
-    """_energy of each row of per-day tilts in [0, 90], regrouped by max(0, x) = x - min(0, x):
-    sum_d sin(t_d) H_d + cos(t_d) V_d over the lit days (H_d, V_d: day sums of weight * horiz
-    and weight * vert) less the sum of min(0, weight * cosine) over the horiz < 0 points, the only
-    ones a tilt in [0, 90] clips (_segments). annual_insolation keeps _energy: for one row the
-    split's fixed cost (two products over the grid, the day sums, the gathers) beats its saving.
+    """Wh/m^2 of each row of per-day tilts in [0, 90], for annual_insolation and gain_report,
+    regrouped by max(0, x) = x - min(0, x): sum_d sin(t_d) H_d + cos(t_d) V_d over the lit days
+    (H_d, V_d: day sums of weight * horiz and weight * vert) less the sum of min(0, weight *
+    cosine) over the horiz < 0 points, the only ones a tilt in [0, 90] clips (_segments).
     """
     lit = grid.counts > 0  # reduceat would give a zero-count day an element, not 0
     tilt = np.radians(rows)[:, lit]
@@ -343,8 +336,8 @@ def annual_insolation(
     """Energy over the full 365-day year under a tilt policy."""
     if not isinstance(policy, TiltPolicy):  # only its constructor checks the tilts
         raise TypeError(f"policy must be a TiltPolicy, got {type(policy).__name__}")
-    grid = _sample_days(loc, FULL_YEAR, model)
-    return InsolationResult(_energy(grid, policy.tilts_deg), FULL_YEAR, policy.label)
+    energy = _energies(_sample_days(loc, FULL_YEAR, model), [policy.tilts_deg])[0]
+    return InsolationResult(energy, FULL_YEAR, policy.label)
 
 
 def _check_period(period: tuple[int, int]) -> tuple[int, int]:

@@ -655,23 +655,24 @@ class TestEnergy:
     @pytest.mark.parametrize("lat", SWEEP_LATITUDES)
     @pytest.mark.parametrize("tilt", [0.0, 17.3, 45.0, 90.0])
     def test_one_tilt_is_that_tilt_on_every_day(self, lat, tilt):
-        # bit for bit: the one-tilt path takes its sine and cosine from math,
-        # the per-day path and the documented form from numpy
+        # bit for bit: the one-tilt kernel takes its sine and cosine from math,
+        # the documented form from numpy
         grid = _sample_days(Location(lat), (1, 365), IrradianceModel())
         rad = np.radians(tilt)
         cos_theta = np.sin(rad) * grid.horiz + np.cos(rad) * grid.vert
         energy = _energy(grid, tilt)
-        assert energy == _energy(grid, (tilt,) * 365)
         assert energy == float(grid.weight @ np.maximum(cos_theta, 0.0))
 
     @pytest.mark.parametrize("lat", (*SWEEP_LATITUDES, -90.0))
     @pytest.mark.parametrize("step", [0.1, 1.0, 7.5, 30.0, 120.0])
     def test_policy_rows_against_the_documented_form(self, lat, step):
-        # the split sum against weight @ max(0, sin(t) horiz + cos(t) vert), each row's
-        # tilts repeated over counts; the grids hold polar-night zero-count days, the
-        # midnight sun and both poles
+        # the split sum against weight @ max(0, sin(t) horiz + cos(t) vert), each day's
+        # sin(t) and cos(t) repeated over its count; the grids hold polar-night zero-count
+        # days, the midnight sun and both poles. The constant rows are one tilt on every
+        # day, and at steps 1 and 30 annual_insolation's year checks them too
         loc, rng = Location(lat), np.random.default_rng(7)
-        rows = [np.zeros(365), np.full(365, 90.0), rng.choice([0.0, 45.0, 90.0], 365),
+        constant = [np.full(365, 17.3), np.full(365, 45.0)]
+        rows = [*constant, np.zeros(365), np.full(365, 90.0), rng.choice([0.0, 45.0, 90.0], 365),
                 rng.uniform(0.0, 90.0, 365)]
         if lat > 0.0:  # gain_report's four policies; the schedules are northern only
             for mode in TiltMode:
@@ -681,14 +682,20 @@ class TestEnergy:
                     TiltPolicy.daily(loc),
                     TiltPolicy.fixed(lat),
                 )]
-        grid = _sample_days(loc, (1, 365), IrradianceModel(step))
+        model = IrradianceModel(step)
+        grid = _sample_days(loc, (1, 365), model)
         energies = _energies(grid, rows)
         assert len(energies) == len(rows)
         # TestSweep's absolute bound, on the scale of the terms the split sum cancels
         scale = float(grid.weight @ (np.abs(grid.horiz) + np.abs(grid.vert)))
-        for row, energy in zip(rows, energies):
-            tilt = np.radians(np.repeat(row, grid.counts))
-            cos_theta = np.sin(tilt) * grid.horiz + np.cos(tilt) * grid.vert
+        checks = list(zip(rows, energies))
+        if step in (1.0, 30.0):
+            checks += [(row, annual_insolation(loc, TiltPolicy("row", row), model).energy_wh_m2)
+                       for row in constant]
+        for row, energy in checks:
+            tilt = np.radians(row)  # each day's sine and cosine, repeated over its samples
+            sin_t, cos_t = (np.repeat(f(tilt), grid.counts) for f in (np.sin, np.cos))
+            cos_theta = sin_t * grid.horiz + cos_t * grid.vert
             assert abs(energy - float(grid.weight @ np.maximum(cos_theta, 0.0))) <= 1e-12 * scale
 
 
