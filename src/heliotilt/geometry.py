@@ -7,9 +7,7 @@ with no leap handling, and every timestamp is local solar time, so
 there is no equation-of-time or longitude correction anywhere.
 
 Everything here is scalar `math`. The sun-path chart samples through
-_up_south and _angles one point at a time; _up_south is plain
-arithmetic, so the insolation grid puts numpy rows through it too,
-in place.
+_up_south and _angles one point at a time.
 """
 from __future__ import annotations
 
@@ -152,27 +150,11 @@ def _latitude_sin_cos(latitude_deg: float) -> tuple[float, float]:
     return math.sin(phi), math.cos(phi)
 
 
-def _up_south(sin_phi, cos_phi, sin_delta, cos_delta, cos_omega, out=None):
+def _up_south(sin_phi, cos_phi, sin_delta, cos_delta, cos_omega):
     """The spherical transform: sin(elev) and cos(elev) cos(az) from the sines and
-    cosines of latitude, declination and hour angle (west is cos(delta) sin(omega)).
-
-    With a cos_omega row, out=(up, south) rows receive the result and cos_omega is
-    the one scratch row; sin_delta and cos_delta, scalars or rows, are only read.
-    The array terms are formed in the scalar lines' product order, so each rounds
-    alike (a - b is a + (-b), bit for bit).
-    """
-    if out is None:
-        up = sin_phi * sin_delta + cos_phi * cos_delta * cos_omega
-        return up, cos_omega * cos_delta * sin_phi - sin_delta * cos_phi
-    up, south = out
-    up[...] = cos_delta * cos_phi
-    up *= cos_omega
-    south[...] = sin_delta * -cos_phi
-    cos_omega *= cos_delta
-    cos_omega *= sin_phi
-    south += cos_omega
-    up += sin_delta * sin_phi
-    return up, south
+    cosines of latitude, declination and hour angle (west is cos(delta) sin(omega))."""
+    up = sin_phi * sin_delta + cos_phi * cos_delta * cos_omega
+    return up, cos_omega * cos_delta * sin_phi - sin_delta * cos_phi
 
 
 def _sun_vector(

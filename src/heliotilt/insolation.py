@@ -51,7 +51,9 @@ _SIN_CAP = math.sin(math.radians(90.0 - ZENITH_CAP_DEG))  # sin(elev) at the zen
 
 FULL_YEAR = (1, DAYS_PER_YEAR)
 _MAX_FLOAT = math.nextafter(math.inf, 0.0)  # a panel azimuth's only bound is finiteness
-_BLOCK_SAMPLES = 1 << 14  # a grid block holds the days that start in one such window
+# a grid block holds the days that start in one such window; 1 << 15 refaults about 1,600
+# pages per site_survey op, 1 << 12 is 15% slower, 1 << 13 no faster (ROADMAP.md item 2)
+_BLOCK_SAMPLES = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -79,9 +81,9 @@ class IrradianceModel:
 _DEFAULT_MODEL = IrradianceModel()
 
 
-def _direct_normal(sin_elev: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """S * 0.7 ** (AM ** 0.678) in its exp-log form, into out; 0 unless sin(elev) > 0."""
-    dni = np.maximum(sin_elev, _SIN_CAP, out=out)
+def _direct_normal(sin_elev: np.ndarray) -> np.ndarray:
+    """S * 0.7 ** (AM ** 0.678) in its exp-log form, as a new array; 0 unless sin(elev) > 0."""
+    dni = np.maximum(sin_elev, _SIN_CAP)
     np.log(dni, out=dni)  # -ln(AM)
     np.exp(np.multiply(dni, -AIR_MASS_EXPONENT, out=dni), out=dni)  # AM ** 0.678
     np.exp(np.multiply(dni, math.log(TRANSMITTANCE), out=dni), out=dni)
@@ -169,8 +171,8 @@ def _sample_days(loc: Location, period: tuple[int, int], model: IrradianceModel 
     is +-1e-17 of noise whose sign sets its weight. One scalar pass over the days lists each
     day's row, the horizon and noon samples and the blocks (a block's days start in one
     _BLOCK_SAMPLES window). A one-day period broadcasts its row over its samples; a longer one
-    repeats the rows of each block over the block's samples. Either way the rows are only read,
-    and what _up_south returns or writes is the grid.
+    repeats the rows of each block over the block's samples and copies each block into the
+    grid. Either way the rows are only read, and what _up_south returns is the grid.
     """
     if model is None:
         model = _DEFAULT_MODEL
@@ -201,9 +203,9 @@ def _sample_days(loc: Location, period: tuple[int, int], model: IrradianceModel 
         counts.append(end - start)
     blocks.append((len(counts), end, len(edges)))
 
-    def fill(k, spacing, span, sin_d, cos_d, hours, horizon, edge, out=None):
-        """(horiz, vert, weight) from the day terms, scalars or rows, in out's rows or new
-        arrays; k, the index in the day, is scratch, and edge is cos(omega) at horizon."""
+    def fill(k, spacing, span, sin_d, cos_d, hours, horizon, edge):
+        """(horiz, vert, weight) from the day terms, scalars or rows, as new arrays; k, the
+        index in the day, is scratch, and edge is cos(omega) at horizon."""
         half = np.subtract(span, np.multiply(k, spacing, out=k), out=k)  # sunset back to noon
         half *= math.pi / 360.0  # omega / 2 in radians
         cos_omega = np.tan(half, out=half)
@@ -211,9 +213,8 @@ def _sample_days(loc: Location, period: tuple[int, int], model: IrradianceModel 
         np.divide(2.0, cos_omega, out=cos_omega)
         cos_omega -= 1.0  # 2 / (1 + tan(omega / 2) ** 2) - 1
         cos_omega[horizon] = edge
-        up_south = None if out is None else (out[1], out[0])
-        vert, horiz = _up_south(sin_phi, cos_phi, sin_d, cos_d, cos_omega, out=up_south)
-        weight = _direct_normal(vert, out=None if out is None else out[2])
+        vert, horiz = _up_south(sin_phi, cos_phi, sin_d, cos_d, cos_omega)
+        weight = _direct_normal(vert)
         weight *= hours
         return horiz, vert, weight
 
@@ -232,7 +233,7 @@ def _sample_days(loc: Location, period: tuple[int, int], model: IrradianceModel 
             start, *block = (row.repeat(counts[first:last]) for row in rows[:, first:last])
             k = np.arange(a, b, dtype=float)
             k -= start
-            fill(k, *block, starts[e:f] - a, edge[e:f], out=samples[:, a:b])
+            samples[:, a:b] = fill(k, *block, starts[e:f] - a, edge[e:f])
         samples[2, np.array(edges + once, dtype=int)] /= 2.0
     return _Grid(*samples, counts)
 

@@ -17,7 +17,6 @@ from heliotilt import (
     sun_position,
     sunrise_hour_angle,
 )
-from heliotilt.geometry import _latitude_sin_cos, _up_south
 
 SITE = Location(32.7)
 
@@ -237,28 +236,6 @@ class TestSunPosition:
         with pytest.raises(ValueError) as err:
             sun_position(SITE, 81, omega)
         assert str(err.value) == f"hour angle must be in [-180, 180] degrees, got {omega}"
-
-
-class TestUpSouth:
-    @pytest.mark.parametrize("lat", [-90.0, -33.9, 0.0, 32.7, 89.999, 90.0])
-    @pytest.mark.parametrize("rows", [False, True])
-    def test_array_branch_is_the_scalar_branch(self, lat, rows):
-        # bit for bit, zero signs too, with one day's scalar declination terms
-        # or a row of them, which the array branch only reads
-        sin_phi, cos_phi = _latitude_sin_cos(lat)
-        delta = np.radians([declination_exact(d) for d in range(1, 366)])
-        sin_d, cos_d = np.sin(delta), np.cos(delta)
-        if not rows:
-            sin_d, cos_d = float(sin_d[100]), float(cos_d[100])
-        cos_w = np.cos(np.radians(np.linspace(-180.0, 180.0, 365)))
-        terms = zip(*(np.broadcast_to(t, 365).tolist() for t in (sin_d, cos_d, cos_w)))
-        want = np.array([_up_south(sin_phi, cos_phi, *t) for t in terms]).T
-        kept = np.copy(sin_d), np.copy(cos_d)
-        up, south = np.empty(365), np.empty(365)
-        _up_south(sin_phi, cos_phi, sin_d, cos_d, cos_w, out=(up, south))
-        assert up.tobytes() == want[0].tobytes()
-        assert south.tobytes() == want[1].tobytes()
-        assert np.array_equal(sin_d, kept[0]) and np.array_equal(cos_d, kept[1])
 
 
 class TestSunriseHourAngle:

@@ -765,17 +765,18 @@ def per_day_grid(lat, step_minutes, period=(1, 365), libm_cos=False):
 
 
 class TestSampleGrid:
-    @pytest.mark.parametrize("lat", SWEEP_LATITUDES)
+    @pytest.mark.parametrize("lat", SWEEP_LATITUDES + (-90.0, -89.999, -33.9, 89.999))
     @pytest.mark.parametrize("step", [1.0, 7.5, 30.0])
     def test_equals_a_per_day_reference(self, lat, step):
-        # bit for bit: a last-bit change in a span or a declination moves the
-        # horizon samples, whose sin(elev) is +-1e-16, across zero
+        # bit for bit, zero signs too: a last-bit change in a span or a declination
+        # moves the horizon samples, whose sin(elev) is +-1e-16, across zero, and the
+        # block rows must round as the reference's scalar products
         grid = _sample_days(Location(lat), (1, 365), IrradianceModel(step))
         horiz, vert, weight, counts = per_day_grid(lat, step)
         assert np.array_equal(grid.counts, counts)
-        assert np.array_equal(grid.horiz, horiz)
-        assert np.array_equal(grid.vert, vert)
-        assert np.array_equal(grid.weight, weight)
+        assert grid.horiz.tobytes() == horiz.tobytes()
+        assert grid.vert.tobytes() == vert.tobytes()
+        assert grid.weight.tobytes() == weight.tobytes()
         assert np.array_equal(grid.weight > 0.0, vert > 0.0)
 
     @pytest.mark.parametrize("lat", SWEEP_LATITUDES)
@@ -813,16 +814,22 @@ class TestSampleGrid:
     @pytest.mark.parametrize("lat", [-33.9, 0.0, 70.0, 89.999, 90.0])
     @pytest.mark.parametrize("step", [0.1, 1.0, 7.2, 120.0])
     def test_one_day_is_its_slice_of_the_year(self, lat, step):
-        # a day's samples do not depend on the other days in its block, and
-        # a one-day period, built from its own scalars, equals the block loop
+        # a day's samples do not depend on the other days in its block, or on
+        # where the blocks fall: a one-day period, built from its own scalars,
+        # and each calendar month, whose blocks start at its own first day,
+        # equal their slices of the year byte for byte
         loc, model = Location(lat), IrradianceModel(step)
         year = _sample_days(loc, (1, 365), model)
         ends = np.cumsum(year.counts)
-        for day, end, count in zip(range(1, 366), ends, year.counts):
-            one = _sample_days(loc, (day, day), model)
-            assert one.counts.tolist() == [count]
-            for got, whole in zip(one[:3], year[:3]):
-                assert np.array_equal(got, whole[end - count:end])
+        starts = ends - year.counts
+        months = [[d for d in range(1, 366) if month_of_day(d) == m] for m in range(1, 13)]
+        periods = [(day, day) for day in range(1, 366)] + [(m[0], m[-1]) for m in months]
+        for first, last in periods:
+            grid = _sample_days(loc, (first, last), model)
+            assert grid.counts.tolist() == year.counts[first - 1:last].tolist()
+            part = slice(starts[first - 1], ends[last - 1])
+            for got, whole in zip(grid[:3], year[:3]):
+                assert got.tobytes() == whole[part].tobytes()
 
     @staticmethod
     def check_day(loc, day, horiz, vert, weight, model):

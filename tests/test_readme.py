@@ -9,6 +9,7 @@ import pathlib
 from heliotilt import (
     Location,
     TiltMode,
+    TiltPolicy,
     daily_tilt,
     gain_report,
     monthly_schedule,
@@ -20,7 +21,7 @@ from heliotilt import (
 )
 from heliotilt import insolation
 from heliotilt.cli import main
-from heliotilt.insolation import FULL_YEAR, _sample_days
+from heliotilt.insolation import FULL_YEAR, _energies, _sample_days
 
 README = " ".join(
     (pathlib.Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8").split()
@@ -72,6 +73,26 @@ def test_exact_mode_gains_are_lower():
     (paper_s, paper_m, paper_d), (exact_s, exact_m, exact_d) = map(gains, TiltMode)
     assert exact_s < paper_s and exact_m < paper_m and exact_d == paper_d
     assert "Exact mode gives slightly lower seasonal and monthly gains" in README
+
+
+def test_solstice_aligned_months():
+    # the paper tilts re-keyed to months that start near the 21st (Dey 1
+    # first): a day's month is the one whose start lies the fewest days back,
+    # and its season the month's triple, January-February-March first
+    starts = (356, 21, 51, 80, 111, 142, 173, 204, 235, 266, 296, 326)
+    month = [min(range(12), key=lambda m: (day - starts[m]) % 365) for day in range(1, 366)]
+    for lat in LATITUDES:
+        loc = Location(lat)
+        monthly = monthly_schedule(loc, TiltMode.PAPER)
+        seasonal = seasonal_schedule(loc, TiltMode.PAPER)
+        rows = [TiltPolicy.fixed(lat).tilts_deg,
+                TiltPolicy.seasonal(seasonal).tilts_deg,
+                [seasonal.betas_deg[m // 3] for m in month],
+                TiltPolicy.monthly(monthly).tilts_deg,
+                [monthly.betas_deg[m] for m in month]]
+        base, *energies = _energies(_sample_days(loc, FULL_YEAR, None), rows)
+        gain = [100.0 * (e - base) / base for e in energies]
+        assert "| {:g} | {:.2f}% → {:.2f}% | {:.2f}% → {:.2f}% |".format(lat, *gain) in README
 
 
 def test_full_year_optima():
